@@ -1,15 +1,14 @@
 // Ablation I: what durability costs on the disguise hot path. The same
-// apply/reveal workload runs against four storage configurations:
+// apply/reveal workload runs against three storage configurations:
 //   mode=0  in-memory Database (the paper's configuration; no durability)
 //   mode=1  DurableEngine, WAL sync kNone (append to page cache, no fsync)
-//   mode=2  DurableEngine, WAL sync kGroup (leader-follower batched fsync,
-//           the default) — one durability point per batch via Flush()
-//   mode=3  DurableEngine, WAL sync kPerCommit (fsync inside every commit)
+//   mode=2  DurableEngine, WAL sync kGroup (the default: one fsync per
+//           apply or reveal, shared by concurrent committers)
 // Each iteration opens a fresh data directory, populates HotCRP through the
 // WAL, checkpoints so the timed region measures only disguise traffic, then
 // times: GDPR apply for a slice of contacts, reveal for half of them, and a
 // final Flush. Counters report the WAL bytes the timed region appended —
-// the logging overhead that modes 1-3 pay and mode 0 does not.
+// the logging overhead that modes 1-2 pay and mode 0 does not.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -45,8 +44,7 @@ struct TempDataDir {
 edna::db::WalOptions::SyncMode Mode(const benchmark::State& state) {
   switch (state.range(0)) {
     case 1: return edna::db::WalOptions::SyncMode::kNone;
-    case 2: return edna::db::WalOptions::SyncMode::kGroup;
-    default: return edna::db::WalOptions::SyncMode::kPerCommit;
+    default: return edna::db::WalOptions::SyncMode::kGroup;
   }
 }
 
@@ -139,7 +137,6 @@ BENCHMARK(BM_DisguiseDurability)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->ArgNames({"mode"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(5);
@@ -216,9 +213,8 @@ int main(int argc, char** argv) {
   std::printf(
       "Ablation I: durability cost on the disguise hot path. expected shape:\n"
       "wal=kNone tracks the in-memory baseline closely (append-only logging is\n"
-      "cheap; fsync is the real cost), kGroup pays one batched fsync per Flush,\n"
-      "and kPerCommit pays one fsync per statement-commit — the gap between\n"
-      "kGroup and kPerCommit is what group commit buys.\n\n");
+      "cheap; fsync is the real cost), and kGroup adds one fsync per apply or\n"
+      "reveal — the gap between them is what durability costs.\n\n");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

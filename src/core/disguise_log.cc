@@ -76,19 +76,39 @@ StatusOr<uint64_t> DisguiseLog::Append(std::string spec_name, sql::ParamMap para
   return entries_.back().id;
 }
 
-Status DisguiseLog::MarkRevealed(uint64_t id) {
-  EDNA_FAIL_POINT(failpoints::kLogMarkRevealed);
-  std::lock_guard<std::mutex> lock(mu_);
+StatusOr<LogEntry*> DisguiseLog::FindActiveLocked(uint64_t id) {
   for (LogEntry& e : entries_) {
     if (e.id == id) {
       if (!e.active) {
         return FailedPrecondition("disguise already revealed");
       }
-      e.active = false;
-      return MirrorMarkRevealed(id);
+      return &e;
     }
   }
   return NotFound("no disguise log entry with id " + std::to_string(id));
+}
+
+Status DisguiseLog::MarkRevealed(uint64_t id) {
+  EDNA_FAIL_POINT(failpoints::kLogMarkRevealed);
+  std::lock_guard<std::mutex> lock(mu_);
+  ASSIGN_OR_RETURN(LogEntry * e, FindActiveLocked(id));
+  RETURN_IF_ERROR(MirrorMarkRevealed(id));
+  e->active = false;
+  return OkStatus();
+}
+
+Status DisguiseLog::MarkRevealedInMirror(uint64_t id) {
+  EDNA_FAIL_POINT(failpoints::kLogMarkRevealed);
+  std::lock_guard<std::mutex> lock(mu_);
+  RETURN_IF_ERROR(FindActiveLocked(id).status());
+  return MirrorMarkRevealed(id);
+}
+
+void DisguiseLog::ConfirmRevealed(uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (StatusOr<LogEntry*> e = FindActiveLocked(id); e.ok()) {
+    (*e)->active = false;
+  }
 }
 
 Status DisguiseLog::Unappend(uint64_t id) {

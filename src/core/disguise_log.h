@@ -48,7 +48,18 @@ class DisguiseLog {
   StatusOr<uint64_t> Append(std::string spec_name, sql::ParamMap params, sql::Value user_id,
                             TimePoint applied_at, bool reversible);
 
+  // Deactivates entry `id`: updates its mirror row, then clears the
+  // in-memory flag (only if the mirror write succeeded).
   Status MarkRevealed(uint64_t id);
+
+  // The two halves of MarkRevealed, for a caller that commits the mirror
+  // write inside its own transaction (the reveal's bookkeeping commit).
+  // MarkRevealedInMirror checks the entry is active and updates its mirror
+  // row only; ConfirmRevealed clears the in-memory flag, and is called once
+  // that transaction has committed, so a rolled-back or crash-frozen commit
+  // leaves memory agreeing with the mirror.
+  Status MarkRevealedInMirror(uint64_t id);
+  void ConfirmRevealed(uint64_t id);
 
   // Removes the most recent entry iff it has this id. Used to unwind a
   // failed apply after the in-memory append (the DB mirror row is unwound by
@@ -107,6 +118,9 @@ class DisguiseLog {
  private:
   Status MirrorAppend(const LogEntry& e);
   Status MirrorMarkRevealed(uint64_t id);
+  // The entry with `id` if it is active; NotFound / FailedPrecondition
+  // otherwise. Requires mu_.
+  StatusOr<LogEntry*> FindActiveLocked(uint64_t id);
 
   db::Database* db_;
   mutable std::mutex mu_;

@@ -168,6 +168,13 @@ void DisguiseEngine::StageCommittedAdvance(uint64_t journal_id) {
       CommitJournal::EncodeAdvance(journal_id, JournalPhase::kCommitted));
 }
 
+void DisguiseEngine::StageCompletion(uint64_t journal_id) {
+  if (journal_wal_ == nullptr) {
+    return;
+  }
+  journal_wal_->StageJournalDelta(CommitJournal::EncodeComplete(journal_id));
+}
+
 Status DisguiseEngine::RetireJournalEntry(uint64_t journal_id) {
   Status persisted = PersistJournalDelta(CommitJournal::EncodeComplete(journal_id));
   if (!persisted.ok()) {

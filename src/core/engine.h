@@ -197,8 +197,10 @@ class DisguiseEngine {
   // process death between the two would leave.
   Status PersistJournalDelta(std::vector<uint8_t> delta);
 
-  // Stages the kCommitted advance to ride the next db commit on this thread.
+  // Stage the kCommitted advance / the complete delta to ride the next db
+  // commit on this thread.
   void StageCommittedAdvance(uint64_t journal_id);
+  void StageCompletion(uint64_t journal_id);
 
   // Retires a journal entry durably: persists the complete delta FIRST, and
   // only erases the in-memory entry once the delta is logged, so memory
@@ -255,6 +257,13 @@ class DisguiseEngine {
   // --- Reveal helpers ---------------------------------------------------------
   struct InterimTransform;
   std::vector<InterimTransform> CollectInterimTransforms(uint64_t disguise_id) const;
+  // After the restore commit: deactivates the log entry's mirror row, drops
+  // the vault records and stages the journal completion in one transaction,
+  // fsynced only when the restore commit wrote no record (`restore_logged`
+  // false). On failure the transaction is rolled back (or frozen by a
+  // simulated crash) and the journal entry stays pending at kCommitted.
+  Status CommitRevealBookkeeping(uint64_t disguise_id, uint64_t journal_id,
+                                 bool restore_logged);
 
   // --- Per-operation randomness ----------------------------------------------
   // Every Apply/Reveal draws from its own Rng. Legacy mode forks it off the

@@ -379,6 +379,9 @@ StatusOr<RevealResult> DisguiseEngine::Reveal(uint64_t disguise_id) {
   // and Recover() rolls the bookkeeping forward.
   // The kCommitted advance rides inside the commit's WAL record so the phase
   // marker and the restore become durable atomically.
+  // An empty restore appends no commit record, so no durable kCommitted
+  // marker anchors the bookkeeping below; it must then sync itself.
+  const bool restore_logged = db_->TransactionHasWrites();
   StageCommittedAdvance(journal_id);
   Status committed = db_->Commit();
   if (!committed.ok()) {
@@ -405,31 +408,46 @@ StatusOr<RevealResult> DisguiseEngine::Reveal(uint64_t disguise_id) {
       return post;  // pending at kCommitted; Recover() finishes the bookkeeping
     }
   }
-  Status marked = log_.MarkRevealed(disguise_id);
-  if (!marked.ok()) {
-    EDNA_LOG(kError) << "reveal committed but marking the log entry failed: "
-                     << marked;
-    return marked;  // journal pending; Recover() retries the bookkeeping
-  }
-  Status removed = vault_->Remove(disguise_id);
-  if (!removed.ok()) {
-    EDNA_LOG(kError) << "reveal committed but dropping vault records failed: "
-                     << removed;
-    return removed;  // journal pending; Recover() retries the bookkeeping
-  }
+  RETURN_IF_ERROR(CommitRevealBookkeeping(disguise_id, journal_id, restore_logged));
+  log_.ConfirmRevealed(disguise_id);
   UnprotectRows(disguise_id);
-  {
-    Status retired = RetireJournalEntry(journal_id);
-    if (!retired.ok()) {
-      // Restore and bookkeeping are durable; pending at kCommitted, so
-      // Recover() re-runs the (idempotent) bookkeeping and retires it.
-      EDNA_LOG(kError) << "reveal finished but retiring journal entry failed: " << retired;
-      return retired;
-    }
-  }
+  journal_.Complete(journal_id);
   CommitOpSeq('R', entry->spec_name, entry->user_id);
   result.queries = db::Database::ThreadStatements() - queries_before;
   return result;
+}
+
+Status DisguiseEngine::CommitRevealBookkeeping(uint64_t disguise_id, uint64_t journal_id,
+                                               bool restore_logged) {
+  // The in-memory log flag is cleared by the caller only after this commits,
+  // so a failure leaves it agreeing with the (rolled back) mirror row, and
+  // Recover() redoes the idempotent bookkeeping. Skipping the fsync is safe
+  // because the restore commit made kCommitted durable: a crash that loses
+  // this record rolls the same bookkeeping forward on reopen.
+  RETURN_IF_ERROR(db_->Begin());
+  Status status = log_.MarkRevealedInMirror(disguise_id);
+  if (status.ok()) {
+    status = vault_->Remove(disguise_id);
+  }
+  if (status.ok()) {
+    StageCompletion(journal_id);
+    status = restore_logged ? db_->CommitWithoutSync() : db_->Commit();
+    if (status.ok()) {
+      return OkStatus();
+    }
+  }
+  if (FailPoints::IsSimulatedCrash(status)) {
+    return status;  // frozen; Recover() rolls the transaction back first
+  }
+  EDNA_LOG(kError) << "reveal of disguise " << disguise_id
+                   << " committed but its bookkeeping failed: " << status;
+  if (db_->InTransaction()) {
+    Status rb = db_->Rollback();
+    if (!rb.ok()) {
+      status = FoldStatus(std::move(status), rb, "rollback");
+    }
+  }
+  return status;
 }
 
 }  // namespace edna::core

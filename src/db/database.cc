@@ -190,8 +190,8 @@ class Database::StatementScope {
   // Commits the statement. When this scope IS the implicit transaction and a
   // durability sink is attached, the statement's net changes are appended to
   // the WAL before write intents are released; `*wal_lsn` receives the LSN
-  // the caller must sync AFTER dropping its table locks (group commit may
-  // linger). A simulated crash out of the append freezes the statement —
+  // the caller must sync AFTER dropping its table locks (the fsync may be
+  // slow). A simulated crash out of the append freezes the statement —
   // done_ set, no undo, intents kept — so the in-memory state matches what a
   // real process death mid-commit would leave for recovery to roll back.
   // Any other append failure rolls the statement back via the destructor.
@@ -292,8 +292,8 @@ Status Database::WaitWalDurable(uint64_t lsn) {
   }
   WalSink* sink = nullptr;
   {
-    // Read the pointer under the catalog lock, but sync OUTSIDE it: the
-    // group-commit linger must not block DDL.
+    // Read the pointer under the catalog lock, but sync OUTSIDE it: an
+    // fsync must not block DDL.
     std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
     sink = wal_sink_;
   }
@@ -1769,7 +1769,11 @@ Status Database::Begin() {
   return OkStatus();
 }
 
-Status Database::Commit() {
+Status Database::Commit() { return CommitTxn(/*sync=*/true); }
+
+Status Database::CommitWithoutSync() { return CommitTxn(/*sync=*/false); }
+
+Status Database::CommitTxn(bool sync) {
   EDNA_FAIL_POINT(failpoints::kDbCommit);
   TxnState& tx = Txn();
   if (!tx.in_txn) {
@@ -1810,7 +1814,9 @@ Status Database::Commit() {
   tx.in_txn = false;
   tx.undo_log.clear();
   ReleaseIntents(tx, 0);
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
+  if (sync) {
+    RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
+  }
   return MaybeEvictPages();
 }
 
@@ -1843,6 +1849,12 @@ bool Database::InTransaction() const {
   std::lock_guard<std::mutex> lock(txn_mu_);
   auto it = txns_.find(std::this_thread::get_id());
   return it != txns_.end() && it->second.in_txn;
+}
+
+bool Database::TransactionHasWrites() const {
+  std::lock_guard<std::mutex> lock(txn_mu_);
+  auto it = txns_.find(std::this_thread::get_id());
+  return it != txns_.end() && it->second.in_txn && !it->second.undo_log.empty();
 }
 
 bool Database::AnyTransactionActive() const {

@@ -177,7 +177,7 @@ using WriteGuard = std::function<Status(const std::string& table, RowId id,
 // Locking contract: AppendCommit runs while the committing statement's table
 // locks are held (it must only append, never fsync); AppendDdl runs under
 // the exclusive catalog lock; SyncCommit runs with NO Database locks held
-// (group commit may block for the flush window); OnRollback runs from
+// (it may wait behind another committer's fsync); OnRollback runs from
 // Rollback/RollbackAll so the sink can discard per-thread staged state.
 class WalSink {
  public:
@@ -325,6 +325,18 @@ class Database {
   Status Commit();
   Status Rollback();
   bool InTransaction() const;
+
+  // Commit() that appends the transaction's WAL record but returns without
+  // waiting for it to become durable (skips WalSink::SyncCommit). Only for
+  // a commit whose crash repair an earlier synced commit already anchors —
+  // the reveal's log/vault bookkeeping after its restore commit made the
+  // journal's kCommitted marker durable. WAL replay keeps a prefix, so the
+  // next synced commit, Flush, checkpoint or clean close covers it.
+  Status CommitWithoutSync();
+
+  // True if the calling thread's open transaction has written anything, so
+  // its commit will append a WAL record (when a sink is attached).
+  bool TransactionHasWrites() const;
 
   // True if ANY thread has an open transaction (recovery/audit hook).
   bool AnyTransactionActive() const;
@@ -524,9 +536,11 @@ class Database {
   // appended LSN, or 0 when there is no sink / nothing to log. Caller must
   // hold the statement's table locks (append order = lock order).
   StatusOr<uint64_t> AppendCommitToWal(TxnState& tx, size_t from_mark);
+  // Commit() and CommitWithoutSync(); `sync` selects the durability wait.
+  Status CommitTxn(bool sync);
 
   // Post-release durability wait: blocks until `lsn` is fsync-covered.
-  // Never call with table locks held (group commit lingers).
+  // Never call with table locks held (it may wait for an fsync).
   Status WaitWalDurable(uint64_t lsn);
 
   // Sticky page-cache fault errors (recorded by Find/Scan/Clone, which have

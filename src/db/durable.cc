@@ -167,6 +167,13 @@ DurableDatabase::~DurableDatabase() {
     db_->SetWalSink(nullptr);
   }
   tls_staged.erase(this);
+  // A clean close leaves the log tail durable: journal sidecars and the
+  // reveal's bookkeeping commit are appended without an fsync of their own.
+  if (wal_ != nullptr && wal_->durable_lsn() < wal_->appended_lsn()) {
+    if (Status flushed = wal_->Flush(); !flushed.ok()) {
+      EDNA_LOG(kError) << "closing \"" << dir_ << "\": WAL flush failed: " << flushed;
+    }
+  }
 }
 
 std::string DurableDatabase::SnapshotPath(uint64_t lsn) const {

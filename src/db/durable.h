@@ -79,6 +79,7 @@ class DurableDatabase : public WalSink {
       const std::string& dir, const DurableOptions& options,
       DurableOpenReport* report);
 
+  // Flushes any unsynced WAL tail before closing (errors are logged).
   ~DurableDatabase() override;
 
   DurableDatabase(const DurableDatabase&) = delete;

@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "src/common/crc32.h"
 #include "src/common/failpoint.h"
@@ -386,6 +384,7 @@ StatusOr<uint64_t> WriteAheadLog::Append(const WalRecord& record) {
 }
 
 Status WriteAheadLog::FsyncLocked() {
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
   if (::fsync(fd_) != 0) {
     return Internal(StrFormat("WAL fsync failed: %s", std::strerror(errno)));
   }
@@ -414,12 +413,8 @@ Status WriteAheadLog::Sync(uint64_t lsn) {
   sync_in_progress_ = true;
   lk.unlock();
 
-  if (options_.sync_mode == WalOptions::SyncMode::kGroup &&
-      options_.group_window_us > 0) {
-    // Linger so commits racing in behind us ride the same fsync.
-    std::this_thread::sleep_for(std::chrono::microseconds(options_.group_window_us));
-  }
-  // Everything appended before the fsync is covered by it.
+  // Everything appended before the fsync is covered by it; committers that
+  // append while it runs wait above and share the next one.
   uint64_t covered = appended_lsn_.load(std::memory_order_acquire);
   Status synced = FsyncLocked();
 
@@ -504,6 +499,10 @@ uint64_t WriteAheadLog::appended_lsn() const {
 uint64_t WriteAheadLog::durable_lsn() const {
   std::lock_guard<std::mutex> lock(sync_mu_);
   return durable_lsn_;
+}
+
+uint64_t WriteAheadLog::fsync_count() const {
+  return fsyncs_.load(std::memory_order_relaxed);
 }
 
 uint64_t WriteAheadLog::SizeBytes() const {

@@ -22,12 +22,13 @@
 // rest. A crash can only lose a suffix of un-fsynced records, never corrupt
 // the recovered prefix, and never produces a half-applied record.
 //
-// Group commit: Sync(lsn) in kGroup mode elects the first waiter as leader;
-// the leader optionally lingers for group_window_us to gather more commits,
-// then issues one fsync covering every record appended so far. Real fsync
-// failures are sticky (the log refuses further syncs), because the kernel
-// may have dropped dirty pages — retrying would report durability that
-// never happened.
+// Group commit: Sync(lsn) in kGroup mode elects the first waiter as leader,
+// which fsyncs at once; the fsync covers every record appended before it,
+// so committers that arrive while it runs wait for it and then share the
+// next one. A serial caller therefore pays exactly one fsync per Sync and
+// never sleeps. Real fsync failures are sticky (the log refuses further
+// syncs), because the kernel may have dropped dirty pages — retrying would
+// report durability that never happened.
 #ifndef SRC_DB_WAL_H_
 #define SRC_DB_WAL_H_
 
@@ -99,15 +100,10 @@ struct WalScanStats {
 
 struct WalOptions {
   enum class SyncMode : uint8_t {
-    kNone,       // never fsync (bench baseline; durability = page cache)
-    kPerCommit,  // fsync inside every Sync() call
-    kGroup,      // leader-follower batched fsync (default)
+    kNone,   // never fsync (bench baseline; durability = page cache)
+    kGroup,  // leader-follower batched fsync (default)
   };
   SyncMode sync_mode = SyncMode::kGroup;
-  // kGroup: how long the elected leader lingers before fsyncing, letting
-  // concurrent committers join the same flush. 0 still merges every waiter
-  // present at flush time.
-  int group_window_us = 100;
 };
 
 class WriteAheadLog {
@@ -147,6 +143,7 @@ class WriteAheadLog {
   uint64_t appended_lsn() const;  // last LSN handed out (0 = none yet)
   uint64_t durable_lsn() const;   // last LSN known fsync-covered
   uint64_t SizeBytes() const;     // current file size
+  uint64_t fsync_count() const;   // fsyncs issued to cover appends since Open
 
   const WalOptions& options() const { return options_; }
 
@@ -173,6 +170,7 @@ class WriteAheadLog {
   Status sync_error_;  // sticky: a real failed fsync poisons durability
 
   std::atomic<uint64_t> appended_lsn_{0};
+  std::atomic<uint64_t> fsyncs_{0};
 };
 
 // Record body codec, exposed for tests and the durable layer.

@@ -13,9 +13,12 @@
 // The sweep covers every durability site (wal.append/sync/truncate,
 // snapshot.write/rename, journal.persist) and every engine protocol site,
 // at every hit index each site reaches; a randomized battery repeats the
-// experiment over generated schedules and crash points. A corruption
-// battery bit-flips the WAL on disk and asserts reopen lands on a reference
-// prefix or fails loudly — never garbage.
+// experiment over generated schedules and crash points. The reveal's
+// unsynced bookkeeping commit is swept with both injected errors and
+// crashes. A corruption battery bit-flips the WAL on disk and asserts
+// reopen lands on a reference prefix or fails loudly — never garbage. A
+// contract battery pins the fsync and WAL-record count of one apply, one
+// reveal and a clean close.
 #include "src/core/durable_engine.h"
 
 #include <gtest/gtest.h>
@@ -29,9 +32,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/hotcrp/disguises.h"
+#include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
 #include "src/common/failpoint.h"
 #include "src/common/rng.h"
+#include "src/core/disguise_log.h"
 #include "src/core/engine.h"
 #include "src/db/database.h"
 #include "src/disguise/spec_parser.h"
@@ -272,17 +278,53 @@ const char* const kCrashSites[] = {
     failpoints::kSnapshotRename,     failpoints::kJournalPersist,
     failpoints::kDbBegin,            failpoints::kDbCommit,
     failpoints::kVaultStore,         failpoints::kLogAppend,
+    failpoints::kLogMarkRevealed,    failpoints::kVaultRemove,
     failpoints::kApplyBeforeCommit,  failpoints::kApplyAfterCommit,
     failpoints::kRevealBeforeCommit, failpoints::kRevealAfterCommit,
 };
 
-// Runs `steps` on a fresh rig with `site` armed to crash at its `hit`-th
-// evaluation. Returns the index of the crashed step, or -1 when the site had
-// fewer hits than that (in which case the schedule completed and the final
-// state was checked against the reference). On a crash, reopens and asserts
-// atomicity + consistency + usability against the reference dumps.
+// True iff every in-memory log entry's active flag equals its mirror row's.
+bool LogAgreesWithMirror(Rig& rig) {
+  auto rows = rig.eng->db()->SelectRows(kDisguiseLogTableName, nullptr, {});
+  if (!rows.ok()) {
+    return false;
+  }
+  const std::vector<LogEntry>& entries = rig.eng->engine()->log().entries();
+  if (rows->size() != entries.size()) {
+    return false;
+  }
+  for (const db::Row& row : *rows) {
+    const LogEntry* e = rig.eng->engine()->log().Find(static_cast<uint64_t>(row[0].AsInt()));
+    if (e == nullptr || e->active != row[5].AsBool()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// True iff a reveal is pending at kCommitted: the fault landed after the
+// restore commit, in the reveal's bookkeeping.
+bool RevealPendingAtCommitted(Rig& rig) {
+  for (const JournalEntry& e : rig.eng->engine()->journal().PendingCopy()) {
+    if (e.op == JournalOp::kReveal && e.phase == JournalPhase::kCommitted) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Runs `steps` on a fresh rig with `site` armed to fail with `action` at its
+// `hit`-th evaluation. Returns the index of the failed step, or -1 when the
+// site had fewer hits than that (in which case the schedule completed and
+// the final state was checked against the reference). On a failure, reopens
+// and asserts atomicity + consistency + usability against the reference
+// dumps; an injected error must first leave the in-memory log agreeing with
+// its mirror rows. `*in_bookkeeping` reports whether the failure left a
+// reveal pending at kCommitted.
 int RunCrashTrial(const std::vector<Step>& steps, const std::vector<std::string>& dumps,
-                  const char* site, uint64_t hit, uint64_t cache_budget_bytes = 0) {
+                  const char* site, uint64_t hit, uint64_t cache_budget_bytes = 0,
+                  FailPointAction action = FailPointAction::kCrash,
+                  bool* in_bookkeeping = nullptr) {
   Rig rig;
   rig.cache_budget_bytes = cache_budget_bytes;
   Status opened = rig.Open();
@@ -290,18 +332,18 @@ int RunCrashTrial(const std::vector<Step>& steps, const std::vector<std::string>
   Status seeded = Seed(rig);
   EXPECT_TRUE(seeded.ok()) << seeded;
 
-  FailPoints::Instance().Enable(site, {.action = FailPointAction::kCrash,
-                                       .trigger = FailPointTrigger::kOneShot,
-                                       .n = hit});
+  const bool crash = action == FailPointAction::kCrash;
+  FailPoints::Instance().Enable(
+      site, {.action = action, .trigger = FailPointTrigger::kOneShot, .n = hit});
   int crashed_at = -1;
   for (size_t i = 0; i < steps.size(); ++i) {
     Status s = steps[i].run(rig);
     if (s.ok()) {
       continue;
     }
-    EXPECT_TRUE(FailPoints::IsSimulatedCrash(s))
+    EXPECT_EQ(FailPoints::IsSimulatedCrash(s), crash)
         << site << " hit " << hit << " step " << steps[i].name
-        << " failed with a non-crash status: " << s;
+        << " failed with the wrong kind of status: " << s;
     crashed_at = static_cast<int>(i);
     break;
   }
@@ -311,6 +353,14 @@ int RunCrashTrial(const std::vector<Step>& steps, const std::vector<std::string>
     EXPECT_EQ(rig.Fingerprint(), dumps.back())
         << site << " hit " << hit << ": untouched schedule diverged";
     return -1;
+  }
+  if (in_bookkeeping != nullptr) {
+    *in_bookkeeping = RevealPendingAtCommitted(rig);
+  }
+  if (!crash) {
+    EXPECT_TRUE(LogAgreesWithMirror(rig))
+        << site << " hit " << hit << ": the failed step left the in-memory log "
+        << "disagreeing with its mirror rows";
   }
 
   // Process death: discard the frozen engine, reopen from disk, recover.
@@ -538,6 +588,64 @@ TEST_F(DurabilityCrash, ErrorInjectionCompensatesWithoutReopen) {
   EXPECT_EQ(rig.Fingerprint(), before);
 }
 
+// The reveal's bookkeeping (log mirror row, vault records, journal
+// completion) commits as one transaction appended without an fsync. Every
+// site inside it — the commit itself, log.mark_revealed and vault.remove —
+// must, for an injected error as well as a crash, leave the log agreeing
+// with its mirror and reopen audit-clean, bit-identical to the state just
+// before or just after the reveal.
+TEST_F(DurabilityCrash, RevealBookkeepingFaultsRollForwardOnReopen) {
+  std::vector<Step> steps = CanonicalSchedule(/*with_checkpoint=*/true);
+  std::vector<std::string> dumps = RunReference(steps);
+  ASSERT_EQ(dumps.size(), steps.size() + 1);
+
+  for (const char* site :
+       {failpoints::kDbCommit, failpoints::kLogMarkRevealed, failpoints::kVaultRemove}) {
+    for (FailPointAction action : {FailPointAction::kReturnError, FailPointAction::kCrash}) {
+      const char* mode = action == FailPointAction::kCrash ? "crash" : "error";
+      bool hit_bookkeeping = false;
+      for (uint64_t hit = 1; hit <= 24; ++hit) {
+        bool in_bookkeeping = false;
+        int failed_at = RunCrashTrial(steps, dumps, site, hit, /*cache_budget_bytes=*/0,
+                                      action, &in_bookkeeping);
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "stopping sweep at " << site << " " << mode << " hit " << hit;
+        }
+        if (failed_at < 0) {
+          break;
+        }
+        hit_bookkeeping = hit_bookkeeping || in_bookkeeping;
+      }
+      EXPECT_TRUE(hit_bookkeeping)
+          << site << " (" << mode << ") never failed inside a reveal's bookkeeping";
+    }
+  }
+}
+
+// A reveal whose restore changes nothing writes no restore commit record,
+// so no durable kCommitted marker covers its bookkeeping: that commit must
+// fsync itself, or a returned reveal could be lost by a crash.
+TEST_F(DurabilityCrash, EmptyRestoreRevealSyncsItsBookkeeping) {
+  Rig rig;
+  ASSERT_TRUE(rig.Open().ok());
+  ASSERT_TRUE(Seed(rig).ok());
+  // The second Scrub of a user finds nothing left to disguise, so revealing
+  // it restores nothing.
+  ASSERT_TRUE(ApplyStep(3, 1010).run(rig).ok());
+  ASSERT_TRUE(ApplyStep(3, 1020).run(rig).ok());
+  auto entry = rig.eng->engine()->log().LatestActiveFor("Scrub", Value::Int(3));
+  ASSERT_TRUE(entry.has_value());
+  db::WriteAheadLog* wal = rig.eng->durable()->wal();
+  const uint64_t syncs = FailPoints::Instance().Hits(failpoints::kWalSync);
+  const uint64_t lsn = wal->appended_lsn();
+  auto revealed = rig.eng->engine()->Reveal(entry->id);
+  ASSERT_TRUE(revealed.ok()) << revealed.status();
+  EXPECT_EQ(revealed->columns_restored + revealed->rows_restored, 0u);
+  EXPECT_EQ(wal->appended_lsn() - lsn, 2u) << "journal begin + bookkeeping commit";
+  EXPECT_EQ(FailPoints::Instance().Hits(failpoints::kWalSync) - syncs, 1u);
+  EXPECT_EQ(wal->durable_lsn(), wal->appended_lsn());
+}
+
 TEST_F(DurabilityCrash, CleanReopenMatchesAndStaysUsable) {
   Rig rig;
   Status opened = rig.Open();
@@ -644,6 +752,105 @@ TEST_F(DurabilityCrash, WalBitFlipsReopenOnAPrefixOrFailLoudly) {
   // The torn-tail rule means most mid-file flips still reopen on a prefix.
   EXPECT_GT(recovered, 0u);
   EXPECT_GT(flips, rejected);
+}
+
+// --- The durable commit contract ----------------------------------------------
+//
+// Observable cost of the durable hot path, counted at the WAL: fail-point
+// evaluations of wal.sync (one per Sync call) and appended LSNs (one per
+// record). A per-user GDPR apply appends five records — journal begin,
+// disguise id, vault-stored advance, the data commit carrying kCommitted,
+// the completion sidecar — and syncs once, at the data commit. A reveal
+// appends three — journal begin, the restore commit carrying kCommitted,
+// and the bookkeeping commit carrying the completion — and syncs once, at
+// the restore commit.
+class DurableContract : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FailPoints::Instance().DisableAll();
+    DurableEngineOptions options;
+    options.clock = &clock_;
+    options.engine.deterministic_rng = true;
+    auto opened = DurableEngine::Open(tmp_.data(), options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    eng_ = *std::move(opened);
+    hotcrp::Config config;
+    auto generated = hotcrp::Populate(eng_->db(), config.Scaled(0.05));
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    uids_ = generated->all_contact_ids;
+    auto spec = hotcrp::GdprSpec();
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ASSERT_TRUE(eng_->engine()->RegisterSpec(*std::move(spec)).ok());
+    ASSERT_TRUE(eng_->Flush().ok());
+  }
+  void TearDown() override { FailPoints::Instance().DisableAll(); }
+
+  uint64_t Syncs() const { return FailPoints::Instance().Hits(failpoints::kWalSync); }
+  uint64_t Lsn() { return eng_->durable()->wal()->appended_lsn(); }
+
+  TempDir tmp_;
+  SimulatedClock clock_{1000};
+  std::unique_ptr<DurableEngine> eng_;
+  std::vector<int64_t> uids_;
+};
+
+TEST_F(DurableContract, OneFsyncPerApplyAndPerReveal) {
+  ASSERT_GE(uids_.size(), 2u);
+  for (int64_t uid : {uids_[0], uids_[1]}) {
+    const uint64_t syncs = Syncs();
+    const uint64_t lsn = Lsn();
+    auto applied = eng_->engine()->ApplyForUser(hotcrp::kGdprName, Value::Int(uid));
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    EXPECT_EQ(Syncs() - syncs, 1u) << "apply of uid " << uid;
+    EXPECT_EQ(Lsn() - lsn, 5u) << "apply of uid " << uid;
+  }
+  for (int64_t uid : {uids_[0], uids_[1]}) {
+    auto entry = eng_->engine()->log().LatestActiveFor(hotcrp::kGdprName, Value::Int(uid));
+    ASSERT_TRUE(entry.has_value());
+    const uint64_t syncs = Syncs();
+    const uint64_t lsn = Lsn();
+    auto revealed = eng_->engine()->Reveal(entry->id);
+    ASSERT_TRUE(revealed.ok()) << revealed.status();
+    EXPECT_EQ(Syncs() - syncs, 1u) << "reveal of uid " << uid;
+    EXPECT_EQ(Lsn() - lsn, 3u) << "reveal of uid " << uid;
+    EXPECT_LT(eng_->durable()->wal()->durable_lsn(), Lsn())
+        << "the bookkeeping commit should be appended without an fsync";
+  }
+  auto audit = eng_->engine()->AuditConsistency();
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->ok()) << audit->ToString();
+}
+
+// A clean close fsyncs the unsynced tail (the reveal's bookkeeping commit)
+// exactly once, and a close with nothing unsynced does not sync at all.
+TEST_F(DurableContract, CleanCloseFlushesTheUnsyncedTail) {
+  auto applied = eng_->engine()->ApplyForUser(hotcrp::kGdprName, Value::Int(uids_[0]));
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  ASSERT_TRUE(eng_->engine()->Reveal(applied->disguise_id).ok());
+  const uint64_t tail = Lsn();
+  ASSERT_LT(eng_->durable()->wal()->durable_lsn(), tail);
+
+  uint64_t syncs = Syncs();
+  eng_.reset();
+  EXPECT_EQ(Syncs() - syncs, 1u) << "close must flush the unsynced WAL tail";
+
+  DurableEngineOptions options;
+  options.clock = &clock_;
+  options.engine.deterministic_rng = true;
+  DurableEngineReport report;
+  auto reopened = DurableEngine::Open(tmp_.data(), options, &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  eng_ = *std::move(reopened);
+  EXPECT_EQ(report.recovery.TotalRepairs(), 0u);
+  EXPECT_EQ(Lsn(), tail) << "reopen found a different WAL tail";
+  const LogEntry* entry = eng_->engine()->log().Find(applied->disguise_id);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->active);
+
+  ASSERT_TRUE(eng_->Flush().ok());
+  syncs = Syncs();
+  eng_.reset();
+  EXPECT_EQ(Syncs() - syncs, 0u) << "a fully synced log needs no close-time fsync";
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "src/common/failpoint.h"
 #include "src/common/rng.h"
 #include "src/core/batch.h"
+#include "src/core/disguise_log.h"
 #include "src/core/engine.h"
 #include "src/db/storage.h"
 #include "src/disguise/spec_parser.h"
@@ -180,6 +181,25 @@ class FaultInjectionTest : public ::testing::Test {
   void SetUp() override { FailPoints::Instance().DisableAll(); }
   void TearDown() override { FailPoints::Instance().DisableAll(); }
 
+  // Asserts every in-memory log entry's active flag equals its mirror row's
+  // (a failed reveal bookkeeping commit must not leave them apart).
+  static void ExpectLogMatchesMirror(World* w, const std::string& context) {
+    if (!w->db.HasTable(kDisguiseLogTableName)) {
+      EXPECT_EQ(w->engine->log().size(), 0u) << context << ": log without a mirror";
+      return;
+    }
+    auto rows = w->db.SelectRows(kDisguiseLogTableName, nullptr, {});
+    ASSERT_TRUE(rows.ok()) << context << ": " << rows.status();
+    EXPECT_EQ(rows->size(), w->engine->log().size()) << context;
+    for (const db::Row& row : *rows) {
+      const LogEntry* e = w->engine->log().Find(static_cast<uint64_t>(row[0].AsInt()));
+      ASSERT_NE(e, nullptr) << context << ": mirror row " << row[0].ToSqlString()
+                            << " has no in-memory entry";
+      EXPECT_EQ(e->active, row[5].AsBool())
+          << context << ": log entry " << e->id << " disagrees with its mirror row";
+    }
+  }
+
   // Asserts the audit is clean, with a readable dump on failure.
   static void ExpectConsistent(World* w, const std::string& context) {
     auto audit = w->engine->AuditConsistency();
@@ -224,6 +244,9 @@ TEST_F(FaultInjectionTest, SweepEveryFailPointDuringApplyRevealCompose) {
   }
 
   size_t iterations = 0;
+  // (site, crash?) pairs whose failure landed in a reveal's bookkeeping,
+  // after its restore commit.
+  std::set<std::pair<std::string, bool>> bookkeeping_hits;
   for (const auto& [site, count] : hits) {
     for (uint64_t k = 1; k <= count; ++k) {
       for (FailPointAction action :
@@ -243,6 +266,14 @@ TEST_F(FaultInjectionTest, SweepEveryFailPointDuringApplyRevealCompose) {
         EXPECT_EQ(FailPoints::IsSimulatedCrash(run),
                   action == FailPointAction::kCrash)
             << run;
+        if (action == FailPointAction::kReturnError) {
+          ExpectLogMatchesMirror(&w, "after the injected error");
+        }
+        for (const JournalEntry& e : w.engine->journal().PendingCopy()) {
+          if (e.op == JournalOp::kReveal && e.phase == JournalPhase::kCommitted) {
+            bookkeeping_hits.emplace(site, action == FailPointAction::kCrash);
+          }
+        }
 
         auto recovered = w.engine->Recover();
         ASSERT_TRUE(recovered.ok()) << recovered.status();
@@ -260,6 +291,14 @@ TEST_F(FaultInjectionTest, SweepEveryFailPointDuringApplyRevealCompose) {
   }
   // 10 sites x 2 actions x their hit counts: a real sweep, not a smoke test.
   EXPECT_GE(iterations, 2 * hits.size());
+  for (const char* site :
+       {failpoints::kDbCommit, failpoints::kLogMarkRevealed, failpoints::kVaultRemove}) {
+    for (bool crash : {false, true}) {
+      EXPECT_EQ(bookkeeping_hits.count({site, crash}), 1u)
+          << site << (crash ? " (crash)" : " (error)")
+          << " never failed inside a reveal's bookkeeping";
+    }
+  }
 }
 
 // Satellite: a commit refusal must roll the transaction back, not strand it.

@@ -290,7 +290,6 @@ TEST(Durable, ConcurrentWritersAllDurable) {
   TempDir tmp;
   DurableOptions options;
   options.wal.sync_mode = WalOptions::SyncMode::kGroup;
-  options.wal.group_window_us = 100;
   std::string before;
   {
     auto dd = DurableDatabase::Open(tmp.data(), options, nullptr);

@@ -364,15 +364,41 @@ TEST(Wal, BitFlipInHeaderFailsLoudlyOrDropsAll) {
 
 // --- Group commit ------------------------------------------------------------
 
-TEST(Wal, GroupCommitConcurrentAppenders) {
+// A serial committer is never a follower: each Sync elects it leader and
+// fsyncs at once, so N commits cost exactly N fsyncs (there is no linger
+// waiting for followers that never come), and re-syncing a covered LSN
+// costs none.
+TEST(Wal, SerialGroupCommitFsyncsOncePerCommit) {
   TempDir tmp;
   WalOptions options;
   options.sync_mode = WalOptions::SyncMode::kGroup;
-  options.group_window_us = 200;
   std::vector<WalRecord> replay;
   WalScanStats stats;
   auto wal = WriteAheadLog::Open(tmp.Path("wal.edw"), options, &replay, &stats);
   ASSERT_TRUE(wal.ok());
+  constexpr int kCommits = 20;
+  const uint64_t before = (*wal)->fsync_count();
+  for (int i = 0; i < kCommits; ++i) {
+    auto lsn = (*wal)->Append(MakeCommitRecord(i));
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    ASSERT_TRUE((*wal)->Sync(*lsn).ok());
+    EXPECT_EQ((*wal)->durable_lsn(), *lsn);
+    ASSERT_TRUE((*wal)->Sync(*lsn).ok());  // already covered: no fsync
+  }
+  EXPECT_EQ((*wal)->fsync_count() - before, static_cast<uint64_t>(kCommits));
+  ASSERT_TRUE((*wal)->Flush().ok());
+  EXPECT_EQ((*wal)->fsync_count() - before, static_cast<uint64_t>(kCommits));
+}
+
+TEST(Wal, GroupCommitConcurrentAppenders) {
+  TempDir tmp;
+  WalOptions options;
+  options.sync_mode = WalOptions::SyncMode::kGroup;
+  std::vector<WalRecord> replay;
+  WalScanStats stats;
+  auto wal = WriteAheadLog::Open(tmp.Path("wal.edw"), options, &replay, &stats);
+  ASSERT_TRUE(wal.ok());
+  const uint64_t fsyncs_before = (*wal)->fsync_count();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
   std::vector<std::thread> threads;
@@ -393,6 +419,9 @@ TEST(Wal, GroupCommitConcurrentAppenders) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ((*wal)->appended_lsn(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ((*wal)->durable_lsn(), (*wal)->appended_lsn());
+  // Committers that append while a leader fsyncs share the next fsync.
+  EXPECT_LT((*wal)->fsync_count() - fsyncs_before,
+            static_cast<uint64_t>(kThreads * kPerThread));
   wal->reset();
 
   std::vector<WalRecord> replay2;
