@@ -1,19 +1,17 @@
 // Ablation M: vectorized scan-and-transform + the multi-block crypto
-// substrate. Three workloads on one core:
+// substrate. Four workloads on one core:
 //   * scan-filter: unindexed analytic predicates over the HotCRP tables —
-//     the planner has no probe, so every statement is a full scan. Row mode
-//     walks rows and re-runs the register program per row; vectorized mode
+//     the planner has no probe, so every statement is a full scan that
 //     reads the column sidecar slab-by-slab and runs each instruction
 //     across 1024 lanes.
+//   * vault-seal: StoreBatch then FetchForUser over an EncryptedVault, one
+//     subkey derivation per owner key.
 //   * composition / mass deletion: the tab1 and ablG disguise workloads over
 //     an EncryptedVault, so every apply seals its reveal records (AEAD on
 //     the measured path) and residual filtering rides the chunked
 //     evaluator.
-// Axes: vectorized=0/1 flips ExecMode on the database; sealed benches add
-// batched=0/1 for EncryptedVault::set_batched_crypto (one subkey derivation
-// per owner key vs one per record — output bytes identical either way).
-// Both knobs are fingerprint-invisible; only wall time and the db_vector_*
-// counters move.
+// No axes: the row-at-a-time executor and per-record sealing baselines are
+// retired; EXPERIMENTS.md Ablation M keeps their numbers as history.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -28,13 +26,8 @@ using benchutil::FreshDb;
 using benchutil::MakeEngine;
 using edna::Rng;
 using edna::SimulatedClock;
-using edna::db::ExecMode;
 using edna::sql::Value;
 namespace hotcrp = edna::hotcrp;
-
-ExecMode Mode(const benchmark::State& state) {
-  return state.range(0) != 0 ? ExecMode::kVectorized : ExecMode::kRowAtATime;
-}
 
 edna::vault::KeyProvider TestKeyProvider() {
   return [](const Value& uid) -> edna::StatusOr<std::vector<uint8_t>> {
@@ -74,7 +67,6 @@ void BM_ScanFilter(benchmark::State& state) {
     tables.emplace_back(table);
   }
   std::unique_ptr<edna::db::Database> db = FreshDb(kScale);
-  db->SetExecMode(Mode(state));
   db->ResetStats();
   size_t matched = 0;
   for (auto _ : state) {
@@ -94,17 +86,13 @@ void BM_ScanFilter(benchmark::State& state) {
   ExportVectorCounters(state, *db);
 }
 BENCHMARK(BM_ScanFilter)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"vectorized"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(10);
 
 // The crypto substrate in isolation: StoreBatch sealing N reveal records
-// across K owner keys, then fetching (opening) them all back. batched=1
-// derives each owner's enc/MAC subkey pair once and reuses it across that
-// owner's records; batched=0 pays the two HMAC chains per record. This is
-// the axis the sealed disguise workloads dilute with database work.
+// across K owner keys, then fetching (opening) them all back. Each owner's
+// enc/MAC subkey pair is derived once and reused across that owner's
+// records.
 void BM_VaultSeal(benchmark::State& state) {
   constexpr int kOwners = 40;
   constexpr int kRecordsPerOwner = 50;
@@ -133,7 +121,6 @@ void BM_VaultSeal(benchmark::State& state) {
     state.PauseTiming();
     vault = std::make_unique<edna::vault::EncryptedVault>(
         std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(0) != 0);
     state.ResumeTiming();
 
     CheckOk(vault->StoreBatch(records), "store batch");
@@ -149,9 +136,6 @@ void BM_VaultSeal(benchmark::State& state) {
   state.counters["records"] = kOwners * kRecordsPerOwner;
 }
 BENCHMARK(BM_VaultSeal)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(10);
 
@@ -167,10 +151,8 @@ void BM_CompositionSealed(benchmark::State& state) {
     db = FreshDb();
     vault = std::make_unique<edna::vault::EncryptedVault>(
         std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(1) != 0);
     static SimulatedClock clock(0);
     engine = MakeEngine(db.get(), vault.get(), &clock);
-    db->SetExecMode(Mode(state));
     db->ResetStats();
     state.ResumeTiming();
 
@@ -188,11 +170,6 @@ void BM_CompositionSealed(benchmark::State& state) {
   ExportVectorCounters(state, *db);
 }
 BENCHMARK(BM_CompositionSealed)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->ArgNames({"vectorized", "batched"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(10);
 
@@ -210,10 +187,8 @@ void BM_MassDeletionSealed(benchmark::State& state) {
     db = FreshDb(kScale);
     vault = std::make_unique<edna::vault::EncryptedVault>(
         std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(1) != 0);
     static SimulatedClock clock(0);
     engine = MakeEngine(db.get(), vault.get(), &clock);
-    db->SetExecMode(Mode(state));
     db->ResetStats();
     state.ResumeTiming();
 
@@ -229,11 +204,6 @@ void BM_MassDeletionSealed(benchmark::State& state) {
   ExportVectorCounters(state, *db);
 }
 BENCHMARK(BM_MassDeletionSealed)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->ArgNames({"vectorized", "batched"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
@@ -242,11 +212,8 @@ BENCHMARK(BM_MassDeletionSealed)
 int main(int argc, char** argv) {
   std::printf(
       "Ablation M: vectorized execution + batched sealing, single core.\n"
-      "expected shape: scan-filter improves most under vectorized=1 (whole-\n"
-      "chunk register programs over the column sidecar); the sealed disguise\n"
-      "workloads improve under batched=1 (one subkey derivation per owner\n"
-      "key) and stack with vectorized=1. All combinations are\n"
-      "fingerprint-identical; only wall time and the vector counters move.\n\n");
+      "The row-at-a-time and per-record-sealing baselines are retired; see\n"
+      "EXPERIMENTS.md Ablation M for their numbers.\n\n");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

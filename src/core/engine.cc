@@ -146,11 +146,7 @@ StatusOr<db::RowId> DisguiseEngine::InsertPlaceholderRow(
 DisguiseEngine::DisguiseEngine(db::Database* db, vault::Vault* vault, const Clock* clock,
                                EngineOptions options)
     : db_(db), vault_(vault), clock_(clock), options_(options), rng_(options.rng_seed),
-      log_(db) {
-  if (options_.exec_mode.has_value()) {
-    db_->SetExecMode(*options_.exec_mode);
-  }
-}
+      log_(db) {}
 
 Status DisguiseEngine::PersistJournalDelta(std::vector<uint8_t> delta) {
   if (journal_wal_ == nullptr || delta.empty()) {

@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,12 +92,6 @@ struct EngineOptions {
   // checked against a serial replay oracle (tests/core_batch_test.cc).
   bool deterministic_rng = false;
   uint64_t rng_seed = 0x5eed;
-  // When set, forces the database's residual execution mode (row-at-a-time
-  // vs vectorized chunks; db::ExecMode) at engine construction. Unset leaves
-  // the database's own mode alone (its constructor honors EDNA_EXEC_MODE).
-  // Threaded through DurableEngineOptions and ShardSetOptions, so the
-  // daemon's shards inherit it too.
-  std::optional<db::ExecMode> exec_mode;
 };
 
 // Installed by the durable engine (src/core/durable_engine.h) so every

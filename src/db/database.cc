@@ -1,8 +1,6 @@
 #include "src/db/database.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "src/common/failpoint.h"
@@ -20,20 +18,6 @@ namespace {
 thread_local uint64_t tls_statements = 0;
 
 }  // namespace
-
-Database::Database() {
-  if (const char* env = std::getenv("EDNA_EXEC_MODE"); env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "vectorized") == 0) {
-      exec_mode_.store(ExecMode::kVectorized, std::memory_order_relaxed);
-    } else if (std::strcmp(env, "row-at-a-time") == 0 || std::strcmp(env, "row") == 0) {
-      exec_mode_.store(ExecMode::kRowAtATime, std::memory_order_relaxed);
-    } else {
-      EDNA_LOG(kWarning) << "EDNA_EXEC_MODE=\"" << env
-                         << "\" is not \"vectorized\" or \"row-at-a-time\"; "
-                            "keeping row-at-a-time";
-    }
-  }
-}
 
 sql::ColumnResolver MakeRowResolver(const TableSchema& schema, const Row& row) {
   return [&schema, &row](const std::string& table,
@@ -654,10 +638,6 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
     return candidates;
   }
 
-  if (planner_mode() == PlannerMode::kInterpreted) {
-    return MatchRowsInterpreted(table, pred, params);
-  }
-
   // Fast path: `col = <literal or $param>` on an indexed column. The
   // engine's hot path is dominated by this shape — literal one-shots (one
   // statement per placeholder row) and spec predicates like
@@ -726,10 +706,9 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
     return candidates;
   }
 
-  // Access path: seed candidates from the plan's probes. Vectorized
-  // full scans skip materializing AllRowIds — they read the column sidecar's
-  // slabs in place instead of walking a candidate list.
-  const bool vectorized = exec_mode() == ExecMode::kVectorized;
+  // Access path: seed candidates from the plan's probes. A scan never
+  // materializes AllRowIds — the residual reads the column sidecar's slabs
+  // in place instead of walking a candidate list.
   std::vector<RowId> candidates;
   bool scanned = false;
   switch (plan->access) {
@@ -758,12 +737,7 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
           break;
         }
       }
-      if (!seeded) {
-        scanned = true;
-        if (!vectorized || plan->exact) {
-          candidates = table.AllRowIds();
-        }
-      }
+      scanned = !seeded;
       break;
     }
     case TablePlan::Access::kUnion: {
@@ -783,29 +757,22 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
         candidates.erase(std::unique(candidates.begin(), candidates.end()),
                          candidates.end());
       } else {
-        candidates.clear();
         scanned = true;
-        if (!vectorized || plan->exact) {
-          candidates = table.AllRowIds();
-        }
       }
       break;
     }
     case TablePlan::Access::kFullScan:
     default:
       scanned = true;
-      if (!vectorized || plan->exact) {
-        candidates = table.AllRowIds();
-      }
       break;
   }
   if (scanned) {
     if (plan->exact) {
       // An exact plan has no residual to filter a scan with; this only
-      // happens if a probe found its index missing (defensive — plans are
-      // invalidated on DDL and indexes are never dropped). The interpreter
-      // is the safety net; it does its own counter accounting.
-      return MatchRowsInterpreted(table, pred, params);
+      // happens if a probe found its index missing, which cannot occur in
+      // normal use: plans are dropped on every DDL and indexes never are.
+      return Internal("exact plan \"" + plan->description + "\" lost its index on \"" +
+                      table.schema().name() + "\"");
     }
     ++stats_.full_scans;
   }
@@ -818,33 +785,13 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
     return candidates;
   }
 
-  // Residual filter: the FULL compiled predicate over every candidate.
+  // Residual filter: the FULL compiled predicate over every candidate, one
+  // chunk at a time (a lone probe candidate is a chunk of one).
   sql::BoundParams bound = plan->residual->BindParams(params);
-  if (vectorized) {
-    if (scanned) {
-      return FilterScanVectorized(table, *plan->residual, bound);
-    }
-    return FilterCandidatesVectorized(table, candidates, *plan->residual, bound);
+  if (scanned) {
+    return FilterScanVectorized(table, *plan->residual, bound);
   }
-  sql::EvalScratch scratch;
-  std::vector<RowId> out;
-  for (RowId id : candidates) {
-    const Row* row = table.Find(id);
-    if (row == nullptr) {
-      continue;
-    }
-    ++stats_.rows_read;
-    ++stats_.rows_examined;
-    ASSIGN_OR_RETURN(bool match,
-                     plan->residual->Matches(row->data(), row->size(), bound, &scratch));
-    if (match) {
-      out.push_back(id);
-    }
-  }
-  // With a pager, a nullptr Find above may be a fault failure, not a gone
-  // row; surface it instead of silently dropping candidates.
-  RETURN_IF_ERROR(StickyCacheError());
-  return out;
+  return FilterCandidatesVectorized(table, candidates, *plan->residual, bound);
 }
 
 namespace {
@@ -964,77 +911,6 @@ StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
   return out;
 }
 
-StatusOr<std::vector<RowId>> Database::MatchRowsInterpreted(
-    const Table& table, const sql::Expr* pred, const sql::ParamMap& params) const {
-  std::vector<RowId> candidates;
-  bool used_index = false;
-
-  // Planner: find an equality conjunct `col = <constant>` whose column is
-  // indexed; use it to seed candidates, then filter by the full predicate.
-  if (pred != nullptr) {
-    const sql::Expr* node = pred;
-    std::vector<const sql::Expr*> stack{node};
-    while (!stack.empty() && !used_index) {
-      const sql::Expr* e = stack.back();
-      stack.pop_back();
-      if (e->kind() == sql::ExprKind::kBinary && e->binary_op() == sql::BinaryOp::kAnd) {
-        stack.push_back(e->children()[0].get());
-        stack.push_back(e->children()[1].get());
-        continue;
-      }
-      if (e->kind() != sql::ExprKind::kBinary || e->binary_op() != sql::BinaryOp::kEq) {
-        continue;
-      }
-      const sql::Expr* lhs = e->children()[0].get();
-      const sql::Expr* rhs = e->children()[1].get();
-      if (lhs->kind() != sql::ExprKind::kColumnRef) {
-        std::swap(lhs, rhs);
-      }
-      if (lhs->kind() != sql::ExprKind::kColumnRef ||
-          !sql::IsConstantExpression(*rhs)) {
-        continue;
-      }
-      if (!table.HasIndexOn(lhs->column())) {
-        continue;
-      }
-      auto value = sql::EvaluateConstant(*rhs, params);
-      if (!value.ok()) {
-        return value.status();
-      }
-      if (table.IndexLookup(lhs->column(), *value, &candidates)) {
-        used_index = true;
-        ++stats_.index_lookups;
-      }
-    }
-  }
-
-  if (!used_index) {
-    candidates = table.AllRowIds();
-    ++stats_.full_scans;
-  }
-
-  if (pred == nullptr) {
-    stats_.rows_read += candidates.size();
-    return candidates;
-  }
-
-  std::vector<RowId> out;
-  for (RowId id : candidates) {
-    const Row* row = table.Find(id);
-    if (row == nullptr) {
-      continue;
-    }
-    ++stats_.rows_read;
-    sql::ColumnResolver resolver = MakeRowResolver(table.schema(), *row);
-    ASSIGN_OR_RETURN(bool match, sql::EvaluatePredicate(*pred, resolver, params));
-    if (match) {
-      out.push_back(id);
-    }
-  }
-  RETURN_IF_ERROR(StickyCacheError());
-  return out;
-}
-
 StatusOr<std::shared_ptr<const TablePlan>> Database::GetPlan(const Table& table,
                                                              const sql::Expr& pred) const {
   std::string key = table.schema().name();
@@ -1142,9 +1018,6 @@ StatusOr<std::string> Database::DescribePlan(const std::string& table,
   auto it = tables_.find(table);
   if (it == tables_.end()) {
     return NotFound("no table \"" + table + "\"");
-  }
-  if (planner_mode() == PlannerMode::kInterpreted) {
-    return std::string("interpreted");
   }
   ASSIGN_OR_RETURN(std::shared_ptr<const TablePlan> plan, GetPlan(it->second, pred));
   return plan->description;

@@ -83,11 +83,11 @@ struct DbStats {
   std::atomic<uint64_t> page_evictions{0};
   std::atomic<uint64_t> page_writebacks{0};
   std::atomic<uint64_t> resident_bytes{0};
-  // Vectorized execution (ExecMode::kVectorized). chunks_scanned counts
+  // Chunked residual execution. chunks_scanned counts
   // chunk dispatches into the batched evaluator, vector_ops its instruction
   // dispatches with a non-empty selection, vector_lanes the lanes evaluated.
   // selection_density_bp is a gauge, not a counter: matching lanes per
-  // evaluated lane of the most recent vectorized statement, in basis points
+  // evaluated lane of the most recent residual statement, in basis points
   // (10000 = every lane matched).
   std::atomic<uint64_t> chunks_scanned{0};
   std::atomic<uint64_t> vector_ops{0};
@@ -126,27 +126,13 @@ struct DbStats {
   void Reset() { *this = DbStats{}; }
 };
 
-// How MatchRows turns a WHERE clause into candidate rows. kPlanned is the
-// production path (plan cache + index probes + compiled residual);
-// kInterpreted preserves the legacy path — single equality-probe attempt,
-// then per-row AST interpretation — as the ablation baseline (EXPERIMENTS.md
-// Ablation H).
-enum class PlannerMode {
-  kPlanned,
-  kInterpreted,
-};
-
-// How the planned path evaluates residual predicates over candidate rows.
-// kRowAtATime runs the compiled program row by row; kVectorized runs it one
-// INSTRUCTION across chunks of up to sql::kChunkLanes rows — full scans read
-// the tables' column-major sidecar slabs (src/db/column_store.h) in place
-// with the slab's present bitmap as the active-lane mask, probe candidates
-// are gathered into row-pointer chunks. Both modes execute the same compiled
-// program and are fingerprint-identical (tests/db_planner_test.cc,
-// tests/core_planner_test.cc pin this). Orthogonal to PlannerMode: the
-// kInterpreted ablation baseline is always row-at-a-time.
+// How residual predicates run. There is one executor: the compiled program
+// runs one INSTRUCTION across chunks of up to sql::kChunkLanes rows — full
+// scans read the tables' column-major sidecar slabs (src/db/column_store.h)
+// in place with the slab's present bitmap as the active-lane mask, probe
+// candidates are gathered into row-pointer chunks (a lone candidate is a
+// chunk of one). Kept as an enum only because perfbench prints it.
 enum class ExecMode {
-  kRowAtATime,
   kVectorized,
 };
 
@@ -191,11 +177,7 @@ class WalSink {
 
 class Database {
  public:
-  // Reads the EDNA_EXEC_MODE environment variable ("vectorized" /
-  // "row-at-a-time") for the starting ExecMode, so CI can run the whole
-  // suite vectorized without touching call sites. Unknown values log a
-  // warning and keep the default (a constructor has no status channel).
-  Database();
+  Database() = default;
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -361,19 +343,8 @@ class Database {
   const DbStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  // Planner mode knob (see PlannerMode). Safe to flip between statements;
-  // flipping during a statement is racy but benign (both paths are correct).
-  void SetPlannerMode(PlannerMode mode) {
-    planner_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PlannerMode planner_mode() const {
-    return planner_mode_.load(std::memory_order_relaxed);
-  }
-
-  // Execution mode knob (see ExecMode); same flip-between-statements
-  // contract as SetPlannerMode.
-  void SetExecMode(ExecMode mode) { exec_mode_.store(mode, std::memory_order_relaxed); }
-  ExecMode exec_mode() const { return exec_mode_.load(std::memory_order_relaxed); }
+  // The residual executor (see ExecMode); perfbench prints it.
+  ExecMode exec_mode() const { return ExecMode::kVectorized; }
 
   // EXPLAIN surface: the plan description MatchRows would use for `pred`
   // on `table` ("probe(eq(contactId = $UID))", "scan(papers)", ...).
@@ -484,22 +455,16 @@ class Database {
   Status SetColumnInTxn(TxnState& tx, const std::string& table_name, Table* t, RowId id,
                         size_t col_idx, sql::Value value);
 
-  // Candidate rows matching `pred` (nullptr = all rows). Dispatches on
-  // planner_mode_: planned path (plan cache + probes + compiled residual)
-  // or the legacy interpreted path.
+  // Candidate rows matching `pred` (nullptr = all rows): plan cache, index
+  // probes, then the compiled residual through the chunked filters below.
   StatusOr<std::vector<RowId>> MatchRows(const Table& table, const sql::Expr* pred,
                                          const sql::ParamMap& params) const;
 
-  // Legacy matcher: one equality-probe attempt, then per-row AST
-  // interpretation. Kept verbatim as the Ablation H baseline.
-  StatusOr<std::vector<RowId>> MatchRowsInterpreted(const Table& table, const sql::Expr* pred,
-                                                    const sql::ParamMap& params) const;
-
-  // Vectorized residual filters (ExecMode::kVectorized). The scan form reads
-  // the table's column slabs in place; the gather form batches probe
-  // candidates into row-pointer chunks. Both surface the same first-in-RowId-
-  // order error the row-at-a-time loop would (MatchChunk reports the lowest
-  // errored lane; chunks run in ascending RowId order).
+  // Chunked residual filters (see ExecMode). The scan form reads the
+  // table's column slabs in place; the gather form batches probe candidates
+  // into row-pointer chunks. Both surface the first error in RowId order,
+  // as a row-by-row evaluation would (MatchChunk reports the lowest errored
+  // lane; chunks run in ascending RowId order).
   StatusOr<std::vector<RowId>> FilterScanVectorized(const Table& table,
                                                     const sql::CompiledPredicate& residual,
                                                     const sql::BoundParams& bound) const;
@@ -612,9 +577,6 @@ class Database {
   static constexpr size_t kMaxCachedPlans = 4096;
   mutable std::shared_mutex plan_mu_;  // shared: lookup; exclusive: insert/clear
   mutable std::unordered_map<std::string, std::shared_ptr<const TablePlan>> plan_cache_;
-
-  std::atomic<PlannerMode> planner_mode_{PlannerMode::kPlanned};
-  std::atomic<ExecMode> exec_mode_{ExecMode::kRowAtATime};
 
   WriteGuard write_guard_;
   WalSink* wal_sink_ = nullptr;

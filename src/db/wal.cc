@@ -10,6 +10,7 @@
 #include "src/common/failpoint.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/db/file_io.h"
 #include "src/db/storage.h"
 #include "src/sql/codec.h"
 
@@ -24,21 +25,6 @@ constexpr size_t kFrameHeaderSize = 8;  // payload_len + crc
 // Upper bound on one frame's payload; anything larger during the scan is
 // treated as a torn length field, not an allocation request.
 constexpr uint32_t kMaxPayload = 1u << 30;
-
-Status WriteFully(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::write(fd, data + off, len - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Internal(StrFormat("WAL write failed: %s", std::strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
 
 std::vector<uint8_t> EncodeHeader(uint64_t base_lsn) {
   sql::ByteWriter w;

@@ -46,10 +46,19 @@ StatusOr<std::vector<uint8_t>> EncryptedVault::KeyFor(const sql::Value& uid) {
   return key;
 }
 
-Status EncryptedVault::Store(const RevealRecord& record) {
+const crypto::SealKeys& EncryptedVault::DerivedKeys(const std::vector<uint8_t>& key,
+                                                    SubkeyCache* cache) {
+  auto [it, inserted] = cache->try_emplace(key);
+  if (inserted) {
+    it->second = crypto::DeriveSealKeys(key);
+  }
+  return it->second;
+}
+
+Status EncryptedVault::SealLocked(const RevealRecord& record, SubkeyCache* subkeys) {
   EDNA_FAIL_POINT(failpoints::kVaultStore);
-  std::lock_guard<std::mutex> lock(mu_);
   ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(record.user_id));
+  const crypto::SealKeys& keys = DerivedKeys(key, subkeys);
   Entry e;
   e.disguise_id = record.disguise_id;
   e.user_id = record.user_id;
@@ -60,7 +69,7 @@ Status EncryptedVault::Store(const RevealRecord& record) {
   // Owner + disguise id are authenticated-but-visible metadata: the vault
   // must route records without decrypting them.
   std::string aad = RenderOwner(e.user_id) + "#" + std::to_string(e.disguise_id);
-  e.box = crypto::Seal(key, nonce, record.Serialize(), aad);
+  e.box = crypto::SealWith(keys, nonce, record.Serialize(), aad);
   ++stats_.crypto_ops;
   ++stats_.stores;
   stats_.bytes_stored += e.box.ciphertext.size() + e.box.nonce.size() + e.box.mac.size();
@@ -68,38 +77,17 @@ Status EncryptedVault::Store(const RevealRecord& record) {
   return OkStatus();
 }
 
-Status EncryptedVault::StoreBatch(const std::vector<RevealRecord>& records) {
-  if (!batched_crypto_) {
-    return Vault::StoreBatch(records);
-  }
+Status EncryptedVault::Store(const RevealRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Seal keys derived once per distinct owner key across the batch. Keyed by
-  // the raw key bytes (not the owner) so a KeyProvider that rotates keys
-  // mid-batch can never pair a record with stale subkeys.
-  std::map<std::vector<uint8_t>, crypto::SealKeys> derived;
+  SubkeyCache subkeys;
+  return SealLocked(record, &subkeys);
+}
+
+Status EncryptedVault::StoreBatch(const std::vector<RevealRecord>& records) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SubkeyCache subkeys;
   for (const RevealRecord& record : records) {
-    // Same per-record sequence as Store: fail point, key resolution, nonce
-    // draw, seal — so crash batteries and deterministic-rng fingerprints see
-    // an identical schedule, and output bytes match a Store loop exactly.
-    EDNA_FAIL_POINT(failpoints::kVaultStore);
-    ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(record.user_id));
-    auto [it, inserted] = derived.try_emplace(key);
-    if (inserted) {
-      it->second = crypto::DeriveSealKeys(key);
-    }
-    Entry e;
-    e.disguise_id = record.disguise_id;
-    e.user_id = record.user_id;
-    e.created = record.created;
-    crypto::ChaChaNonce nonce{};
-    std::vector<uint8_t> nbytes = rng_.NextBytes(nonce.size());
-    std::copy(nbytes.begin(), nbytes.end(), nonce.begin());
-    std::string aad = RenderOwner(e.user_id) + "#" + std::to_string(e.disguise_id);
-    e.box = crypto::SealWith(it->second, nonce, record.Serialize(), aad);
-    ++stats_.crypto_ops;
-    ++stats_.stores;
-    stats_.bytes_stored += e.box.ciphertext.size() + e.box.nonce.size() + e.box.mac.size();
-    entries_.push_back(std::move(e));
+    RETURN_IF_ERROR(SealLocked(record, &subkeys));
   }
   return OkStatus();
 }
@@ -117,21 +105,18 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchForUser(const sql::Valu
   ++stats_.fetches;
   std::vector<RevealRecord> out;
   bool any = false;
-  std::vector<uint8_t> key;
   crypto::SealKeys keys;
   for (const Entry& e : entries_) {
     if (e.user_id.is_null() || uid.is_null() || !e.user_id.SqlEquals(uid)) {
       continue;
     }
     if (!any) {
-      ASSIGN_OR_RETURN(key, KeyFor(uid));  // one approval per fetch, not per record
-      if (batched_crypto_) {
-        keys = crypto::DeriveSealKeys(key);  // ...and one subkey split per fetch
-      }
+      // One approval per fetch, not per record, and one subkey split.
+      ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(uid));
+      keys = crypto::DeriveSealKeys(key);
       any = true;
     }
-    ASSIGN_OR_RETURN(RevealRecord rec,
-                     OpenEntry(e, batched_crypto_ ? keys : crypto::DeriveSealKeys(key)));
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, keys));
     out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }
@@ -142,23 +127,14 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchForDisguise(uint64_t di
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.fetches;
   std::vector<RevealRecord> out;
-  std::map<std::vector<uint8_t>, crypto::SealKeys> derived;
+  SubkeyCache subkeys;
   for (const Entry& e : entries_) {
     if (e.disguise_id != disguise_id) {
       continue;
     }
     ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(e.user_id));
-    if (batched_crypto_) {
-      auto [it, inserted] = derived.try_emplace(key);
-      if (inserted) {
-        it->second = crypto::DeriveSealKeys(key);
-      }
-      ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, it->second));
-      out.push_back(std::move(rec));
-    } else {
-      ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, crypto::DeriveSealKeys(key)));
-      out.push_back(std::move(rec));
-    }
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, DerivedKeys(key, &subkeys)));
+    out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }
   return out;
@@ -174,13 +150,11 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchGlobal() {
     if (!e.user_id.is_null()) {
       continue;
     }
-    if (batched_crypto_ && !have_keys) {
+    if (!have_keys) {
       app_keys = crypto::DeriveSealKeys(app_key_);
       have_keys = true;
     }
-    ASSIGN_OR_RETURN(
-        RevealRecord rec,
-        OpenEntry(e, batched_crypto_ ? app_keys : crypto::DeriveSealKeys(app_key_)));
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, app_keys));
     out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }

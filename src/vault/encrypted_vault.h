@@ -39,15 +39,6 @@ class EncryptedVault : public Vault {
   void RegisterUser(const sql::Value& uid, const std::string& fingerprint);
   const std::string* FindFingerprint(const sql::Value& uid) const;
 
-  // When true (the default), fetch loops and StoreBatch derive the enc/MAC
-  // subkey pair once per owner key and reuse it across records
-  // (crypto::SealKeys); when false every record pays its own two-chain
-  // derivation, matching the pre-batched behavior. Output bytes are
-  // identical either way — the knob exists so the ablation bench can
-  // measure the amortization honestly.
-  void set_batched_crypto(bool on) { batched_crypto_ = on; }
-  bool batched_crypto() const { return batched_crypto_; }
-
   Status Store(const RevealRecord& record) override;
   Status StoreBatch(const std::vector<RevealRecord>& records) override;
   StatusOr<std::vector<RevealRecord>> FetchForUser(const sql::Value& uid) override;
@@ -69,14 +60,25 @@ class EncryptedVault : public Vault {
     crypto::SealedBox box;
   };
 
+  // Enc/MAC subkey pairs (crypto::SealKeys) derived once per raw key and
+  // reused across the records of one store or fetch. Keyed by the key bytes,
+  // not the owner, so a KeyProvider that rotates keys mid-batch can never
+  // pair a record with stale subkeys.
+  using SubkeyCache = std::map<std::vector<uint8_t>, crypto::SealKeys>;
+  static const crypto::SealKeys& DerivedKeys(const std::vector<uint8_t>& key,
+                                             SubkeyCache* cache);
+
   StatusOr<std::vector<uint8_t>> KeyFor(const sql::Value& uid);
+  // Seals and appends one record, the single sealing path of Store and
+  // StoreBatch: fail point, key resolution, nonce draw, seal — the schedule
+  // crash batteries and deterministic-rng fingerprints pin. Requires mu_.
+  Status SealLocked(const RevealRecord& record, SubkeyCache* subkeys);
   static std::string RenderOwner(const sql::Value& uid);
   StatusOr<RevealRecord> OpenEntry(const Entry& e, const crypto::SealKeys& keys);
   const std::string* FindFingerprintLocked(const sql::Value& uid) const;
 
   std::vector<uint8_t> app_key_;
   KeyProvider keys_;
-  bool batched_crypto_ = true;
   // One mutex guards entries_, fingerprints_, and the nonce rng. Crypto runs
   // under the lock: this backend models the per-user-approval deployment and
   // is not on the parallel-batch fast path (OfflineVault is); the KeyProvider

@@ -1,15 +1,23 @@
 // End-to-end planner regression battery: the disguise hot path must not fall
-// back to a full table scan, and the planner must be a pure optimization —
-// PlannerMode::kPlanned and kInterpreted land on bit-identical databases.
+// back to a full table scan, and the planner must be a pure optimization.
+// Two kinds of oracle check that:
+//  * a spec-predicate differential: every rule and assertion predicate of
+//    the registered specs (and its negation, which has no index probe and so
+//    runs the chunked residual executor over a scan), bound for a sample of
+//    uids, matches the row-at-a-time interpreter reference
+//    (tests/reference_match.h) at every state of the workload;
+//  * pinned end-state digests of the workloads' databases.
 //
 // Workloads mirror the paper's evaluation:
 //  * "tab1": HotCRP ConfAnon (global) composed with per-user GDPR+, with a
 //    TableVault so the vault's own FetchForUser / FetchGlobal queries run
 //    through the planner too.
 //  * "ablG": mass per-user deletion over a worker pool (BatchExecutor).
+//  * Lobsters-GDPR applies and a reveal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,14 +25,18 @@
 
 #include "src/apps/hotcrp/disguises.h"
 #include "src/apps/hotcrp/generator.h"
+#include "src/apps/lobsters/disguises.h"
+#include "src/apps/lobsters/generator.h"
 #include "src/common/clock.h"
 #include "src/core/batch.h"
 #include "src/core/engine.h"
 #include "src/db/database.h"
 #include "src/disguise/spec.h"
 #include "src/disguise/spec_parser.h"
+#include "src/sql/parser.h"
 #include "src/vault/offline_vault.h"
 #include "src/vault/table_vault.h"
+#include "tests/reference_match.h"
 
 namespace edna::core {
 namespace {
@@ -57,6 +69,76 @@ std::map<std::string, std::vector<std::string>> Fingerprint(db::Database* db) {
   }
   return out;
 }
+
+// FNV-1a 64 over Fingerprint(): a compact end-state digest to pin across
+// changes to the matcher (a changed digest means a changed database).
+std::string Digest(db::Database* db) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const std::string& s) {
+    for (unsigned char c : s) {
+      h = (h ^ c) * 0x100000001b3ull;
+    }
+    h = (h ^ 0xffu) * 0x100000001b3ull;  // separator: "ab","c" != "a","bc"
+  };
+  for (const auto& [table, rows] : Fingerprint(db)) {
+    mix(table);
+    for (const std::string& row : rows) {
+      mix(row);
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// The spec-predicate differential: every rule and assertion predicate P of
+// every spec registered on `engine`, bound for each uid in `uids`, must
+// match the reference on `db` as it stands — in three forms, so that all
+// residual paths run on real spec predicates and data, not just the exact
+// probes the specs compile to: P itself; NOT (P), which has no probe and so
+// is filtered chunk by chunk over a scan; and (P) AND <first column> IS NOT
+// NULL, whose IS NOT NULL conjunct stays residual, so P's probe candidates
+// are gathered into chunks. Returns how many rows the residual executor
+// examined, so callers can check it really ran.
+uint64_t ExpectSpecPredicatesMatchReference(const DisguiseEngine& engine, db::Database* db,
+                                            const std::vector<Value>& uids,
+                                            const std::string& state) {
+  const uint64_t examined_before = db->stats().rows_examined;
+  for (const disguise::DisguiseSpec* spec : engine.Specs()) {
+    std::vector<std::pair<std::string, const sql::Expr*>> preds;
+    for (const disguise::TableDisguise& td : spec->tables()) {
+      for (const disguise::Transformation& t : td.transformations) {
+        preds.emplace_back(td.table, t.predicate());
+      }
+    }
+    for (const disguise::Assertion& a : spec->assertions()) {
+      preds.emplace_back(a.table, a.predicate.get());
+    }
+    for (const auto& [table, pred] : preds) {
+      const std::string first_column = db->FindTable(table)->schema().columns()[0].name;
+      auto negated = sql::ParseExpression("NOT (" + pred->ToString() + ")");
+      auto gathered = sql::ParseExpression("(" + pred->ToString() + ") AND \"" +
+                                           first_column + "\" IS NOT NULL");
+      if (!negated.ok() || !gathered.ok()) {
+        ADD_FAILURE() << spec->name() << ": cannot rewrite " << pred->ToString();
+        continue;
+      }
+      for (const Value& uid : uids) {
+        const sql::ParamMap params{{disguise::kUidParam, uid}};
+        const sql::Expr* forms[] = {pred, negated->get(), gathered->get()};
+        for (const sql::Expr* e : forms) {
+          EXPECT_TRUE(db::testing::MatchesReference(*db, table, *e, params))
+              << spec->name() << ", uid " << uid.ToSqlString() << ", " << state;
+        }
+      }
+    }
+  }
+  return db->stats().rows_examined - examined_before;
+}
+
+// End-state digests (Digest) of the pinned workloads below.
+constexpr char kCompositionDigest[] = "d50bd5a9a783e2e4";
+constexpr char kMassDeletionDigest[] = "49153fc4da37e0bb";
 
 // ---------------------------------------------------------------------------
 // tab1: HotCRP composition workload.
@@ -116,90 +198,56 @@ TEST_F(HotCrpPlannerTest, CompositionWorkloadNeverFullScans) {
   ASSERT_TRUE(db_.CheckIntegrity().ok());
 }
 
-// The planner is invisible to results: the same composition workload under
-// kInterpreted (pre-planner evaluation) produces the same database contents.
+// The planner is invisible to results: at every state of the composition
+// workload (fresh, after ConfAnon, after each composed GDPR+, after a reveal)
+// every shipped HotCRP spec predicate matches the interpreter reference.
 TEST_F(HotCrpPlannerTest, PlannedAndInterpretedAgreeOnComposition) {
-  db::Database other;
-  {
-    hotcrp::Config config;
-    config.num_users = 60;
-    config.num_pc = 8;
-    config.num_papers = 40;
-    config.num_reviews = 120;
-    auto generated = hotcrp::Populate(&other, config);
-    ASSERT_TRUE(generated.ok()) << generated.status();
-  }
-  auto other_vault = vault::TableVault::Create(&other);
-  ASSERT_TRUE(other_vault.ok());
-  SimulatedClock other_clock{0};
-  EngineOptions options;
-  options.deterministic_rng = true;
-  options.rng_seed = 0xab1e;
-  DisguiseEngine other_engine(&other, other_vault->get(), &other_clock, options);
-  ASSERT_TRUE(other_engine.RegisterSpec(*hotcrp::GdprPlusSpec()).ok());
-  ASSERT_TRUE(other_engine.RegisterSpec(*hotcrp::ConfAnonSpec()).ok());
-  other.SetPlannerMode(db::PlannerMode::kInterpreted);
-
-  // Rebuild the planned-side engine with the same deterministic seed so the
-  // two runs generate identical placeholders.
-  engine_ = std::make_unique<DisguiseEngine>(&db_, vault_.get(), &clock_, options);
-  ASSERT_TRUE(engine_->RegisterSpec(*hotcrp::GdprPlusSpec()).ok());
-  ASSERT_TRUE(engine_->RegisterSpec(*hotcrp::ConfAnonSpec()).ok());
-
-  for (DisguiseEngine* e : {engine_.get(), &other_engine}) {
-    ASSERT_TRUE(e->Apply(hotcrp::kConfAnonName, {}).ok());
-    for (size_t i = 0; i < 4 && i < gen_.pc_contact_ids.size(); ++i) {
-      auto applied =
-          e->ApplyForUser(hotcrp::kGdprPlusName, Value::Int(gen_.pc_contact_ids[i]));
-      ASSERT_TRUE(applied.ok()) << applied.status();
-    }
+  ASSERT_TRUE(engine_->RegisterSpec(*hotcrp::GdprSpec()).ok());
+  std::vector<Value> uids = {Value::Null(), Value::Int(gen_.all_contact_ids.back()),
+                             Value::Int(1'000'000)};
+  for (size_t i = 0; i < 4 && i < gen_.pc_contact_ids.size(); ++i) {
+    uids.push_back(Value::Int(gen_.pc_contact_ids[i]));
   }
 
-  EXPECT_EQ(other.stats().plan_cache_misses, 0u)
-      << "kInterpreted must bypass the plan cache entirely";
-  EXPECT_EQ(Fingerprint(&db_), Fingerprint(&other));
+  uint64_t examined = ExpectSpecPredicatesMatchReference(*engine_, &db_, uids, "fresh");
+  ASSERT_TRUE(engine_->Apply(hotcrp::kConfAnonName, {}).ok());
+  examined += ExpectSpecPredicatesMatchReference(*engine_, &db_, uids, "after ConfAnon");
+  uint64_t reveal_target = 0;
+  for (size_t i = 0; i < 4 && i < gen_.pc_contact_ids.size(); ++i) {
+    auto applied = engine_->ApplyForUser(hotcrp::kGdprPlusName,
+                                         Value::Int(gen_.pc_contact_ids[i]));
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    reveal_target = applied->disguise_id;
+    examined += ExpectSpecPredicatesMatchReference(*engine_, &db_, uids,
+                                                   "after GDPR+ #" + std::to_string(i));
+  }
+  ASSERT_TRUE(engine_->Reveal(reveal_target).ok());
+  examined += ExpectSpecPredicatesMatchReference(*engine_, &db_, uids, "after reveal");
+  EXPECT_GT(examined, 0u) << "the differential never entered the residual executor";
+  ASSERT_TRUE(db_.CheckIntegrity().ok());
 }
 
-// Same contract for the execution mode: ExecMode::kVectorized (chunked
-// residual evaluation over the column sidecar) must land on a bit-identical
-// database for the full composition workload.
+// The composition workload's end state, pinned: ConfAnon then four composed
+// GDPR+ applies under a deterministic rng. The digest was recorded when the
+// row-at-a-time executor was still the default and the vectorized one agreed
+// with it bit for bit; the one remaining executor must land on it too.
 TEST_F(HotCrpPlannerTest, VectorizedAgreesOnComposition) {
-  db::Database other;
-  {
-    hotcrp::Config config;
-    config.num_users = 60;
-    config.num_pc = 8;
-    config.num_papers = 40;
-    config.num_reviews = 120;
-    auto generated = hotcrp::Populate(&other, config);
-    ASSERT_TRUE(generated.ok()) << generated.status();
-  }
-  auto other_vault = vault::TableVault::Create(&other);
-  ASSERT_TRUE(other_vault.ok());
-  SimulatedClock other_clock{0};
   EngineOptions options;
   options.deterministic_rng = true;
   options.rng_seed = 0xab1e;
-  DisguiseEngine other_engine(&other, other_vault->get(), &other_clock, options);
-  ASSERT_TRUE(other_engine.RegisterSpec(*hotcrp::GdprPlusSpec()).ok());
-  ASSERT_TRUE(other_engine.RegisterSpec(*hotcrp::ConfAnonSpec()).ok());
-  other.SetExecMode(db::ExecMode::kVectorized);
-
   engine_ = std::make_unique<DisguiseEngine>(&db_, vault_.get(), &clock_, options);
   ASSERT_TRUE(engine_->RegisterSpec(*hotcrp::GdprPlusSpec()).ok());
   ASSERT_TRUE(engine_->RegisterSpec(*hotcrp::ConfAnonSpec()).ok());
 
-  for (DisguiseEngine* e : {engine_.get(), &other_engine}) {
-    ASSERT_TRUE(e->Apply(hotcrp::kConfAnonName, {}).ok());
-    for (size_t i = 0; i < 4 && i < gen_.pc_contact_ids.size(); ++i) {
-      auto applied =
-          e->ApplyForUser(hotcrp::kGdprPlusName, Value::Int(gen_.pc_contact_ids[i]));
-      ASSERT_TRUE(applied.ok()) << applied.status();
-    }
+  ASSERT_TRUE(engine_->Apply(hotcrp::kConfAnonName, {}).ok());
+  for (size_t i = 0; i < 4 && i < gen_.pc_contact_ids.size(); ++i) {
+    auto applied =
+        engine_->ApplyForUser(hotcrp::kGdprPlusName, Value::Int(gen_.pc_contact_ids[i]));
+    ASSERT_TRUE(applied.ok()) << applied.status();
   }
 
-  EXPECT_EQ(Fingerprint(&db_), Fingerprint(&other));
-  ASSERT_TRUE(other.CheckIntegrity().ok());
+  EXPECT_EQ(Digest(&db_), kCompositionDigest);
+  ASSERT_TRUE(db_.CheckIntegrity().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -308,61 +356,90 @@ TEST(PlannerBatchTest, MassDeletionNeverFullScans) {
   ASSERT_TRUE(world.db.CheckIntegrity().ok());
 }
 
-// Serial-replay determinism across planner modes: the batch workload under
-// kPlanned is bit-identical to the same workload under kInterpreted.
-TEST(PlannerBatchTest, BatchMatchesInterpretedOracle) {
-  constexpr int kUsers = 60;
-
-  MassWorld planned(kUsers);
-  MassWorld interpreted(kUsers);
-  interpreted.db.SetPlannerMode(db::PlannerMode::kInterpreted);
-
-  for (MassWorld* w : {&planned, &interpreted}) {
-    BatchOptions options;
-    options.num_threads = 4;
-    BatchExecutor executor(w->engine.get(), options);
-    for (int u = 1; u <= kUsers; ++u) {
-      executor.Submit(BatchTask::Apply("Scrub", Value::Int(u)));
-      if (u % 3 == 0) {
-        executor.Submit(BatchTask::Reveal("Scrub", Value::Int(u)));
-      }
+// The mass-deletion workload (applies plus every third user revealed) run
+// through the worker pool.
+void RunMassDeletion(MassWorld* w, int num_users) {
+  BatchOptions options;
+  options.num_threads = 4;
+  BatchExecutor executor(w->engine.get(), options);
+  for (int u = 1; u <= num_users; ++u) {
+    executor.Submit(BatchTask::Apply("Scrub", Value::Int(u)));
+    if (u % 3 == 0) {
+      executor.Submit(BatchTask::Reveal("Scrub", Value::Int(u)));
     }
-    BatchReport report = executor.Drain();
-    ASSERT_EQ(report.failed, 0u) << report.ToString();
   }
-
-  EXPECT_EQ(Fingerprint(&planned.db), Fingerprint(&interpreted.db));
-  ASSERT_TRUE(planned.db.CheckIntegrity().ok());
-  ASSERT_TRUE(interpreted.db.CheckIntegrity().ok());
+  BatchReport report = executor.Drain();
+  ASSERT_EQ(report.failed, 0u) << report.ToString();
 }
 
-// Ablation G's mass-deletion workload under ExecMode::kVectorized, with
-// workers scanning and mutating concurrently (the sidecar's invalidate-on-
-// mutation path under real contention), is bit-identical to row-at-a-time.
+// After the batch workload, the Scrub spec's predicates match the
+// interpreter oracle for scrubbed, revealed and untouched users alike.
+TEST(PlannerBatchTest, BatchMatchesInterpretedOracle) {
+  constexpr int kUsers = 60;
+  MassWorld world(kUsers);
+  const std::vector<Value> uids = {Value::Int(1), Value::Int(3), Value::Int(kUsers),
+                                   Value::Int(kUsers + 1), Value::Null()};
+  const uint64_t before_examined =
+      ExpectSpecPredicatesMatchReference(*world.engine, &world.db, uids, "fresh");
+  RunMassDeletion(&world, kUsers);
+  const uint64_t after_examined =
+      ExpectSpecPredicatesMatchReference(*world.engine, &world.db, uids, "after the batch");
+  EXPECT_GT(before_examined + after_examined, 0u);
+  ASSERT_TRUE(world.db.CheckIntegrity().ok());
+}
+
+// The mass-deletion end state, pinned. Workers scan and mutate concurrently
+// (the column sidecar's invalidate-on-mutation path under real contention);
+// the digest was recorded when the row-at-a-time executor was still the
+// default and the vectorized one agreed with it bit for bit.
 TEST(PlannerBatchTest, VectorizedMassDeletionMatchesRowAtATime) {
   constexpr int kUsers = 60;
+  MassWorld world(kUsers);
+  RunMassDeletion(&world, kUsers);
+  EXPECT_EQ(Digest(&world.db), kMassDeletionDigest);
+  ASSERT_TRUE(world.db.CheckIntegrity().ok());
+}
 
-  MassWorld row_mode(kUsers);
-  MassWorld vectorized(kUsers);
-  vectorized.db.SetExecMode(db::ExecMode::kVectorized);
+// ---------------------------------------------------------------------------
+// Lobsters-GDPR.
+// ---------------------------------------------------------------------------
 
-  for (MassWorld* w : {&row_mode, &vectorized}) {
-    BatchOptions options;
-    options.num_threads = 4;
-    BatchExecutor executor(w->engine.get(), options);
-    for (int u = 1; u <= kUsers; ++u) {
-      executor.Submit(BatchTask::Apply("Scrub", Value::Int(u)));
-      if (u % 3 == 0) {
-        executor.Submit(BatchTask::Reveal("Scrub", Value::Int(u)));
-      }
-    }
-    BatchReport report = executor.Drain();
-    ASSERT_EQ(report.failed, 0u) << report.ToString();
+TEST(LobstersPlannerTest, SpecPredicatesMatchTheReferenceThroughGdprAndReveal) {
+  db::Database db;
+  lobsters::Config config;
+  config.num_users = 40;
+  config.num_stories = 60;
+  config.num_comments = 160;
+  config.num_votes = 300;
+  config.num_tags = 8;
+  config.num_messages = 40;
+  auto generated = lobsters::Populate(&db, config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  auto vault = vault::TableVault::Create(&db);
+  ASSERT_TRUE(vault.ok()) << vault.status();
+  SimulatedClock clock{0};
+  DisguiseEngine engine(&db, vault->get(), &clock);
+  ASSERT_TRUE(engine.RegisterSpec(*lobsters::GdprSpec()).ok());
+
+  const std::vector<int64_t>& users = generated->user_ids;
+  ASSERT_GE(users.size(), 4u);
+  const std::vector<Value> uids = {Value::Int(users[0]), Value::Int(users[1]),
+                                   Value::Int(users[2]), Value::Int(users.back()),
+                                   Value::Int(1'000'000), Value::Null()};
+
+  uint64_t examined = ExpectSpecPredicatesMatchReference(engine, &db, uids, "fresh");
+  uint64_t reveal_target = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    auto applied = engine.ApplyForUser(lobsters::kGdprName, Value::Int(users[i]));
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    reveal_target = applied->disguise_id;
+    examined += ExpectSpecPredicatesMatchReference(engine, &db, uids,
+                                                   "after GDPR #" + std::to_string(i));
   }
-
-  EXPECT_EQ(Fingerprint(&row_mode.db), Fingerprint(&vectorized.db));
-  ASSERT_TRUE(row_mode.db.CheckIntegrity().ok());
-  ASSERT_TRUE(vectorized.db.CheckIntegrity().ok());
+  ASSERT_TRUE(engine.Reveal(reveal_target).ok());
+  examined += ExpectSpecPredicatesMatchReference(engine, &db, uids, "after reveal");
+  EXPECT_GT(examined, 0u) << "the differential never entered the residual executor";
+  ASSERT_TRUE(db.CheckIntegrity().ok());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "src/db/database.h"
 #include "src/db/durable.h"
 #include "src/sql/parser.h"
+#include "tests/reference_match.h"
 
 namespace edna::db {
 namespace {
@@ -182,7 +183,7 @@ TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
   // invalidates the covering slabs, and a vectorized rebuild faults spilled
   // pages back in. Under a one-byte budget every statement boundary evicts,
   // so each scan rebuilds from spilled extents — and must still return
-  // exactly the rows the row-at-a-time loop does.
+  // exactly the rows the row-at-a-time interpreter reference does.
   TempDir tmp;
   DurableOptions opts;
   opts.cache.max_resident_bytes = 1;  // always over budget: everything spills
@@ -196,28 +197,18 @@ TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
 
   auto pred = sql::ParseExpression("\"num\" >= 0 AND \"payload\" <> ''");
   ASSERT_TRUE(pred.ok()) << pred.status();
-  auto ids_in_mode = [&](ExecMode mode) {
-    db->SetExecMode(mode);
-    auto rows = db->Select("items", pred->get(), {});
-    EXPECT_TRUE(rows.ok()) << rows.status();
-    std::vector<RowId> ids;
-    for (const RowRef& ref : *rows) {
-      ids.push_back(ref.id);
-    }
-    return ids;
-  };
-  std::vector<RowId> row_ids = ids_in_mode(ExecMode::kRowAtATime);
-  std::vector<RowId> vec_ids = ids_in_mode(ExecMode::kVectorized);
-  ASSERT_FALSE(row_ids.empty());
-  EXPECT_EQ(row_ids, vec_ids);
+  auto reference = testing::ReferenceMatch(*db, "items", **pred, {});
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_FALSE(reference->empty());
+  EXPECT_TRUE(testing::MatchesReference(*db, "items", **pred, {}));
 
   // A mutation between vectorized scans (with its own eviction round at the
   // statement boundary) must be visible to the next rebuild.
-  ASSERT_TRUE(db->SetColumn("items", row_ids[0], "num", Value::Int(-1000)).ok());
-  db->SetExecMode(ExecMode::kVectorized);
-  auto after = db->Select("items", pred->get(), {});
+  ASSERT_TRUE(db->SetColumn("items", reference->front(), "num", Value::Int(-1000)).ok());
+  auto after = db->SelectRowsWithIds("items", pred->get(), {});
   ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_EQ(after->size(), row_ids.size() - 1);
+  EXPECT_EQ(after->size(), reference->size() - 1);
+  EXPECT_TRUE(testing::MatchesReference(*db, "items", **pred, {}));
   EXPECT_GT(db->stats().chunks_scanned.load(), 0u);
 }
 

@@ -1,12 +1,11 @@
 // Query planner tests (src/db/plan.{h,cc} + Database::MatchRows planned
 // path): index probe selection (equality, IN, range/BETWEEN, IS NULL, OR
 // union, conjunct intersection), plan cache behavior and invalidation, the
-// DbStats counter contract, and ordered-index maintenance under transaction
-// rollback.
+// DbStats counter contract, ordered-index maintenance under transaction
+// rollback, and the chunked residual executor against the interpreter
+// reference (tests/reference_match.h).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -14,11 +13,13 @@
 #include "src/sql/compile.h"
 #include "src/sql/parser.h"
 #include "src/sql/verify.h"
+#include "tests/reference_match.h"
 
 namespace edna::db {
 namespace {
 
 using sql::Value;
+using testing::MatchesReference;
 
 sql::ExprPtr Pred(const std::string& text) {
   auto e = sql::ParseExpression(text);
@@ -247,6 +248,8 @@ TEST_F(PlannerTest, DescribePlanNamesTheAccessPath) {
   EXPECT_NE(described->find("scan("), std::string::npos) << *described;
 }
 
+// The AST interpreter (tests/reference_match.h) is the reference the planned
+// path must reproduce.
 TEST_F(PlannerTest, InterpretedModeMatchesPlannedRows) {
   const char* preds[] = {
       "\"score\" >= 10 AND \"score\" < 15",
@@ -259,23 +262,8 @@ TEST_F(PlannerTest, InterpretedModeMatchesPlannedRows) {
       "\"kind\" = 'view' AND \"note\" LIKE 'n1%'",
   };
   for (const char* text : preds) {
-    db_.SetPlannerMode(PlannerMode::kPlanned);
-    auto planned = SelectScores(text);
-    db_.SetPlannerMode(PlannerMode::kInterpreted);
-    auto interpreted = SelectScores(text);
-    db_.SetPlannerMode(PlannerMode::kPlanned);
-    EXPECT_EQ(planned, interpreted) << text;
+    EXPECT_TRUE(MatchesReference(db_, "events", *Pred(text), {}));
   }
-}
-
-TEST_F(PlannerTest, InterpretedModeKeepsLegacyCounters) {
-  db_.SetPlannerMode(PlannerMode::kInterpreted);
-  auto scores = SelectScores("\"score\" >= 10 AND \"score\" < 15");
-  EXPECT_EQ(scores.size(), 5u);
-  // The legacy path has no range support: it scans.
-  EXPECT_EQ(db_.stats().full_scans, 1u);
-  EXPECT_EQ(db_.stats().range_probes, 0u);
-  EXPECT_EQ(db_.stats().plan_cache_misses, 0u);
 }
 
 TEST_F(PlannerTest, UpdateAndDeleteGoThroughThePlanner) {
@@ -453,19 +441,14 @@ TEST(DbPlannerTest, PlannerCorpusProgramsPassTheStaticChecker) {
 
 // --- Vectorized execution ----------------------------------------------------
 //
-// ExecMode::kVectorized must be fingerprint-identical to the row-at-a-time
-// path: same rows, same order, same first error. These tests run both modes
-// over the same database and compare results directly, then pin the column
-// sidecar's coherence contract (lazy rebuild, invalidate on mutation and
-// rollback) via Table::ColumnSlabRebuilds().
+// The chunked (vectorized) evaluator is the only residual executor: full
+// scans read the column sidecar's slabs, probe candidates are gathered into
+// row-pointer chunks. It must agree with the row-at-a-time interpreter
+// reference row for row and on the first error. The rest pins the sidecar's
+// coherence contract (lazy rebuild, invalidate on mutation and rollback) via
+// Table::ColumnSlabRebuilds().
 
-class VectorizedTest : public PlannerTest {
- protected:
-  std::vector<int64_t> ScoresInMode(ExecMode mode, const std::string& pred) {
-    db_.SetExecMode(mode);
-    return SelectScores(pred);
-  }
-};
+using VectorizedTest = PlannerTest;
 
 TEST_F(VectorizedTest, AgreesWithRowAtATimeAcrossPredicateShapes) {
   // Probe + residual, full scans, unions, NULL handling — every access path
@@ -483,35 +466,35 @@ TEST_F(VectorizedTest, AgreesWithRowAtATimeAcrossPredicateShapes) {
       "\"kind\" LIKE 'cl%' AND \"user_id\" > 1",
   };
   for (const char* text : kPreds) {
-    auto row = ScoresInMode(ExecMode::kRowAtATime, text);
-    auto vec = ScoresInMode(ExecMode::kVectorized, text);
-    EXPECT_EQ(row, vec) << text;
+    EXPECT_TRUE(MatchesReference(db_, "events", *Pred(text), {}));
   }
 }
 
 TEST_F(VectorizedTest, ReportsTheSameFirstErrorAsTheRowLoop) {
-  // Division by zero fires on the score == 5 row; both modes must surface
-  // the identical status (the vectorized path reports the lowest errored
-  // lane, which is the row loop's first error since chunks run in RowId
-  // order).
-  auto pred = Pred("(100 / (\"score\" - 5)) > 0");
-  db_.SetExecMode(ExecMode::kRowAtATime);
-  auto row = db_.Select("events", pred.get(), {});
-  db_.SetExecMode(ExecMode::kVectorized);
-  auto vec = db_.Select("events", pred.get(), {});
-  ASSERT_FALSE(row.ok());
-  ASSERT_FALSE(vec.ok());
-  EXPECT_EQ(row.status().code(), vec.status().code());
-  EXPECT_EQ(row.status().message(), vec.status().message());
+  // Division by zero fires on the score == 5 row, both on a scan and on a
+  // probe's candidates; the chunked path reports the lowest errored lane,
+  // which is the reference's first error since chunks run in RowId order.
+  const char* kPreds[] = {
+      "(100 / (\"score\" - 5)) > 0",
+      "\"score\" < 10 AND (100 / (\"score\" - 5)) > 0",
+  };
+  for (const char* text : kPreds) {
+    auto pred = Pred(text);
+    ASSERT_FALSE(db_.Select("events", pred.get(), {}).ok()) << text;
+    EXPECT_TRUE(MatchesReference(db_, "events", *pred, {}));
+  }
 }
 
-TEST_F(VectorizedTest, VectorCountersMoveOnlyInVectorizedMode) {
-  ScoresInMode(ExecMode::kRowAtATime, "\"note\" <> ''");
+TEST_F(VectorizedTest, CountersMoveOnAResidualScanAndStayZeroOnExactProbes) {
+  // Exact probes (equality on an index, ranges) decide without a residual.
+  SelectScores("\"user_id\" = 2");
+  SelectScores("\"score\" BETWEEN 3 AND 9");
   EXPECT_EQ(db_.stats().chunks_scanned, 0u);
   EXPECT_EQ(db_.stats().vector_ops, 0u);
   EXPECT_EQ(db_.stats().vector_lanes, 0u);
+  EXPECT_EQ(db_.stats().rows_examined, 0u);
 
-  ScoresInMode(ExecMode::kVectorized, "\"note\" <> ''");
+  SelectScores("\"note\" <> ''");
   EXPECT_GE(db_.stats().chunks_scanned, 1u);
   EXPECT_GT(db_.stats().vector_ops, 0u);
   EXPECT_EQ(db_.stats().vector_lanes, 30u);  // one lane per live row
@@ -519,12 +502,11 @@ TEST_F(VectorizedTest, VectorCountersMoveOnlyInVectorizedMode) {
   EXPECT_EQ(db_.stats().selection_density_bp, 10000u);
 
   // A selective scan resets the gauge to its own density (3/30 = 1000 bp).
-  ScoresInMode(ExecMode::kVectorized, "\"score\" * 2 >= 54");
+  SelectScores("\"score\" * 2 >= 54");
   EXPECT_EQ(db_.stats().selection_density_bp, 1000u);
 }
 
 TEST_F(VectorizedTest, ColumnSlabsRebuildOnlyAfterMutation) {
-  db_.SetExecMode(ExecMode::kVectorized);
   const Table* events = db_.FindTable("events");
   ASSERT_NE(events, nullptr);
 
@@ -541,8 +523,6 @@ TEST_F(VectorizedTest, ColumnSlabsRebuildOnlyAfterMutation) {
 }
 
 TEST_F(VectorizedTest, SeesMutationsDeletesAndRollbacks) {
-  db_.SetExecMode(ExecMode::kVectorized);
-
   // Update: the row with score 7 carries note "n7" (RowId 8).
   EXPECT_EQ(SelectScores("\"note\" = 'n7'"), (std::vector<int64_t>{7}));
   ASSERT_TRUE(db_.SetColumn("events", 8, "note", Value::String("redone")).ok());
@@ -562,23 +542,6 @@ TEST_F(VectorizedTest, SeesMutationsDeletesAndRollbacks) {
   ASSERT_TRUE(db_.Rollback().ok());
   EXPECT_TRUE(SelectScores("\"note\" = 'in-txn'").empty());
   EXPECT_EQ(SelectScores("\"note\" = 'n0'").size(), 1u);
-}
-
-TEST_F(VectorizedTest, ExecModeEnvKnobDefaultsSafely) {
-  // A fresh database derives its default from EDNA_EXEC_MODE (the CI
-  // vectorized leg runs this suite with it set to "vectorized"; plain
-  // runs leave it unset, which must mean row-at-a-time), and SetExecMode
-  // overrides the environment in either direction.
-  const char* env = std::getenv("EDNA_EXEC_MODE");
-  const ExecMode expected_default =
-      (env != nullptr && std::strcmp(env, "vectorized") == 0)
-          ? ExecMode::kVectorized
-          : ExecMode::kRowAtATime;
-  EXPECT_EQ(db_.exec_mode(), expected_default);
-  db_.SetExecMode(ExecMode::kVectorized);
-  EXPECT_EQ(db_.exec_mode(), ExecMode::kVectorized);
-  db_.SetExecMode(ExecMode::kRowAtATime);
-  EXPECT_EQ(db_.exec_mode(), ExecMode::kRowAtATime);
 }
 
 }  // namespace

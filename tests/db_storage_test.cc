@@ -1,8 +1,15 @@
 // Tests for whole-database serialization (db/storage): round trips, format
-// robustness, and FK-order independence (self-referencing tables).
+// robustness, FK-order independence (self-referencing tables), and saves
+// that fail part-way.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "src/apps/lobsters/generator.h"
 #include "src/db/storage.h"
@@ -200,6 +207,58 @@ TEST(StorageTest, FullLobstersDatabaseRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(Dump(**loaded), Dump(db));
   EXPECT_TRUE((*loaded)->CheckIntegrity().ok());
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// A save that dies part-way through (here: the file-size limit, as a full
+// disk would) must leave the image it was replacing loadable and unchanged,
+// and must not leave its temp file behind.
+TEST(StorageTest, FailedSaveLeavesThePreviousImageIntact) {
+  Database small;
+  FillSmallDb(&small);
+  const std::string path =
+      ::testing::TempDir() + "/edna_failed_save_" + std::to_string(::getpid()) + ".edb";
+  ASSERT_TRUE(SaveDatabaseToFile(small, path).ok());
+  const std::vector<char> before = FileBytes(path);
+  ASSERT_FALSE(before.empty());
+
+  Database big;
+  lobsters::Config config;
+  config.num_users = 40;
+  config.num_stories = 60;
+  config.num_comments = 150;
+  config.num_votes = 200;
+  ASSERT_TRUE(lobsters::Populate(&big, config).ok());
+  const size_t big_size = SerializeDatabase(big).size();
+  ASSERT_GT(big_size, 2 * before.size());
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Writes past the limit fail with EFBIG instead of raising SIGXFSZ.
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlim_t limit = static_cast<rlim_t>(big_size / 2);
+    const struct rlimit rl = {limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &rl) != 0) {
+      ::_exit(2);
+    }
+    ::_exit(SaveDatabaseToFile(big, path).ok() ? 0 : 1);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 1) << "the save past the file-size limit must fail";
+
+  EXPECT_EQ(FileBytes(path), before);
+  auto loaded = LoadDatabaseFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(Dump(**loaded), Dump(small));
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0) << "temp file left behind";
+  std::remove(path.c_str());
 }
 
 }  // namespace

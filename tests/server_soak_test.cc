@@ -66,16 +66,11 @@ struct OracleWorld {
   }
 };
 
-// Shared soak body. `mode` applies to the SHARD databases only — the oracle
-// always replays row-at-a-time — so the vectorized leg proves the two
-// execution modes land bit-identical under real daemon concurrency (shard
-// workers scanning while the column sidecar invalidates and rebuilds).
-void RunMixedSoak(db::ExecMode mode) {
+// Shard workers scan while the column sidecar invalidates and rebuilds under
+// real daemon concurrency; the serial replay must still land bit-identical.
+TEST(ServerSoakTest, EightClientsMatchTheSerialReplayOracle) {
   ShardRig rig;
   ASSERT_TRUE(rig.Open(/*num_shards=*/2, /*threads_per_shard=*/4, kUsers, kSeed).ok());
-  for (size_t s = 0; s < rig.shards->num_shards(); ++s) {
-    rig.shards->engine(s)->db()->SetExecMode(mode);
-  }
   ASSERT_TRUE(rig.Serve().ok());
 
   const std::vector<BatchTask> tasks = MixedTasks(kUsers);
@@ -176,14 +171,6 @@ void RunMixedSoak(db::ExecMode mode) {
           << "\" diverged from the serial oracle";
     }
   }
-}
-
-TEST(ServerSoakTest, EightClientsMatchTheSerialReplayOracle) {
-  RunMixedSoak(db::ExecMode::kRowAtATime);
-}
-
-TEST(ServerSoakTest, VectorizedShardsMatchTheRowAtATimeOracle) {
-  RunMixedSoak(db::ExecMode::kVectorized);
 }
 
 // Global disguises riding the two-phase barrier while per-user traffic

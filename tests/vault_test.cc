@@ -329,6 +329,67 @@ TEST(EncryptedVaultTest, CryptoOpsCounted) {
   EXPECT_GE(vault.stats().crypto_ops, 2u);  // one seal + one open
 }
 
+// Store and StoreBatch share one sealing path: fed the same records from the
+// same nonce seed, a Store loop and one StoreBatch land on equal vaults.
+TEST(EncryptedVaultTest, StoreLoopAndStoreBatchLandOnEqualVaults) {
+  KeyProvider provider = [](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.AsInt()));
+  };
+  // Owners 19 and 20 plus global (NULL-owned) records, three disguises each.
+  std::vector<RevealRecord> records;
+  for (uint64_t d = 1; d <= 3; ++d) {
+    for (const Value& owner : {Value::Int(19), Value::Int(20), Value::Null()}) {
+      RevealRecord rec;
+      rec.disguise_id = d;
+      rec.disguise_name = "spec-" + std::to_string(d);
+      rec.user_id = owner;
+      rec.created = static_cast<TimePoint>(100 * d);
+      rec.ops.push_back(RevealOp::RestoreColumn("Review", d, "contactId", owner,
+                                                Value::Int(static_cast<int64_t>(100 + d))));
+      records.push_back(std::move(rec));
+    }
+  }
+  EncryptedVault looped(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  EncryptedVault batched(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  for (const RevealRecord& rec : records) {
+    ASSERT_TRUE(looped.Store(rec).ok());
+  }
+  ASSERT_TRUE(batched.StoreBatch(records).ok());
+
+  auto serialized = [](const StatusOr<std::vector<RevealRecord>>& fetched) {
+    EXPECT_TRUE(fetched.ok()) << fetched.status();
+    std::vector<std::vector<uint8_t>> out;
+    if (fetched.ok()) {
+      for (const RevealRecord& rec : *fetched) {
+        out.push_back(rec.Serialize());
+      }
+    }
+    return out;
+  };
+  for (int64_t uid : {19, 20}) {
+    auto from_loop = serialized(looped.FetchForUser(Value::Int(uid)));
+    EXPECT_EQ(from_loop.size(), 3u);
+    EXPECT_EQ(from_loop, serialized(batched.FetchForUser(Value::Int(uid))));
+  }
+  for (uint64_t d = 1; d <= 3; ++d) {
+    auto from_loop = serialized(looped.FetchForDisguise(d));
+    EXPECT_EQ(from_loop.size(), 3u);
+    EXPECT_EQ(from_loop, serialized(batched.FetchForDisguise(d)));
+  }
+  auto global = serialized(looped.FetchGlobal());
+  EXPECT_EQ(global.size(), 3u);
+  EXPECT_EQ(global, serialized(batched.FetchGlobal()));
+
+  const VaultStats a = looped.stats();
+  const VaultStats b = batched.stats();
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.fetches, b.fetches);
+  EXPECT_EQ(a.records_fetched, b.records_fetched);
+  EXPECT_EQ(a.bytes_stored, b.bytes_stored);
+  EXPECT_EQ(a.crypto_ops, b.crypto_ops);
+  EXPECT_EQ(a.stores, records.size());
+}
+
 // --- Table-vault specifics ----------------------------------------------------------
 
 TEST(TableVaultTest, LivesInsideApplicationDatabase) {

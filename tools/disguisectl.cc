@@ -33,12 +33,9 @@
 //       predicates. Same flags and exit convention as analyze; --json
 //       emits the schema in docs/FORMATS.md §5.
 //   disguisectl explain <db.edb> --spec NAME|FILE [--uid N]
-//                       [--exec-mode row|vectorized]
-//       Dry-run: report what applying the disguise would touch (the header
-//       names the execution mode the statements would run under).
+//       Dry-run: report what applying the disguise would touch.
 //   disguisectl apply <db.edb> --spec NAME|FILE [--uid N] [--optimize]
 //                     [--reveal] [--no-save] [--vault offline|table]
-//                     [--exec-mode row|vectorized]
 //       Apply a disguise (optionally reveal it again immediately to
 //       demonstrate reversibility) and save the database back. With
 //       --vault table the reveal records live in the database's reserved
@@ -64,7 +61,7 @@
 //   disguisectl serve <hotcrp|lobsters> --data-dir DIR [--shards N]
 //                     [--threads N] [--port N] [--port-file FILE]
 //                     [--scale F] [--seed N] [--cache-mb N]
-//                     [--exec-mode row|vectorized] [--no-remote-shutdown]
+//                     [--no-remote-shutdown]
 //       Run the disguised daemon: N durable engine shards under DIR
 //       (created and demo-populated when empty), the application's shipped
 //       specs registered on every shard, and the wire protocol of
@@ -95,7 +92,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -229,28 +225,6 @@ StatusOr<double> DoubleFlag(const Args& args, const std::string& name, double df
                                  "\" is not a number");
   }
   return v;
-}
-
-// --exec-mode row|vectorized. Unset means "leave the database's own mode
-// alone" (which in turn honours EDNA_EXEC_MODE); a bad value is a usage
-// error, never a silent fall-back.
-StatusOr<std::optional<edna::db::ExecMode>> ExecModeFlag(const Args& args) {
-  if (!args.Has("exec-mode")) {
-    return std::optional<edna::db::ExecMode>();
-  }
-  const std::string v = args.Get("exec-mode");
-  if (v == "vectorized") {
-    return std::optional<edna::db::ExecMode>(edna::db::ExecMode::kVectorized);
-  }
-  if (v == "row" || v == "row-at-a-time") {
-    return std::optional<edna::db::ExecMode>(edna::db::ExecMode::kRowAtATime);
-  }
-  return edna::InvalidArgument("--exec-mode: \"" + v +
-                               "\" is not a mode (expected row or vectorized)");
-}
-
-const char* ExecModeName(edna::db::ExecMode mode) {
-  return mode == edna::db::ExecMode::kVectorized ? "vectorized" : "row-at-a-time";
 }
 
 // Durable-mode options from the shared flags. --cache-mb N bounds resident
@@ -678,7 +652,6 @@ StatusOr<EngineSetup> SetUpEngine(const Args& args, bool optimize, bool want_spe
   EngineSetup setup;
   edna::core::EngineOptions options;
   options.reuse_decorrelation = optimize;
-  ASSIGN_OR_RETURN(options.exec_mode, ExecModeFlag(args));
   if (args.Has("data-dir")) {
     edna::core::DurableEngineOptions dopts;
     ASSIGN_OR_RETURN(dopts.durable, DurableOptsFromArgs(args));
@@ -738,11 +711,8 @@ StatusOr<edna::sql::ParamMap> ParamsFromArgs(const Args& args) {
 int CmdExplain(const Args& args) {
   if (BadDbArg(args) || !args.Has("spec")) {
     std::fprintf(stderr, "usage: disguisectl explain <db.edb>|--data-dir DIR "
-                         "--spec NAME|FILE [--uid N] [--exec-mode row|vectorized]\n");
+                         "--spec NAME|FILE [--uid N]\n");
     return 2;
-  }
-  if (auto mode = ExecModeFlag(args); !mode.ok()) {
-    return FailUsage(mode.status());
   }
   auto setup = SetUpEngine(args, /*optimize=*/false, /*want_spec=*/true);
   if (!setup.ok()) {
@@ -756,7 +726,6 @@ int CmdExplain(const Args& args) {
   if (!report.ok()) {
     return Fail(report.status());
   }
-  std::printf("exec mode: %s\n", ExecModeName(setup->database->exec_mode()));
   std::printf("%s", report->ToString().c_str());
   return 0;
 }
@@ -765,11 +734,8 @@ int CmdApply(const Args& args) {
   if (BadDbArg(args) || !args.Has("spec")) {
     std::fprintf(stderr, "usage: disguisectl apply <db.edb>|--data-dir DIR "
                          "--spec NAME|FILE [--uid N] [--optimize] [--reveal] "
-                         "[--exec-mode row|vectorized] [--no-save]\n");
+                         "[--no-save]\n");
     return 2;
-  }
-  if (auto mode = ExecModeFlag(args); !mode.ok()) {
-    return FailUsage(mode.status());
   }
   auto setup = SetUpEngine(args, args.Has("optimize"), /*want_spec=*/true);
   if (!setup.ok()) {
@@ -1046,7 +1012,7 @@ int CmdServe(const Args& args) {
                  "usage: disguisectl serve <hotcrp|lobsters> --data-dir DIR "
                  "[--shards N] [--threads N] [--port N] [--port-file FILE] "
                  "[--scale F] [--seed N] [--cache-mb N] "
-                 "[--exec-mode row|vectorized] [--no-remote-shutdown]\n");
+                 "[--no-remote-shutdown]\n");
     return 2;
   }
   const std::string& app = args.positional[0];
@@ -1075,13 +1041,6 @@ int CmdServe(const Args& args) {
   edna::server::ShardSetOptions sopts;
   sopts.num_shards = static_cast<int>(*shards);
   sopts.threads_per_shard = static_cast<int>(*threads);
-  {
-    auto exec_mode = ExecModeFlag(args);
-    if (!exec_mode.ok()) {
-      return FailUsage(exec_mode.status());
-    }
-    sopts.engine.exec_mode = *exec_mode;
-  }
   {
     auto dopts = DurableOptsFromArgs(args);
     if (!dopts.ok()) {
@@ -1283,7 +1242,7 @@ int main(int argc, char** argv) {
                                              "threads", "max-attempts", "data-dir",
                                              "fail-on", "k", "cache-mb", "connect",
                                              "shards", "port", "port-file", "echo",
-                                             "id", "exec-mode"});
+                                             "id"});
   if (args.Has("connect")) {
     return CmdClient(cmd, args);
   }
