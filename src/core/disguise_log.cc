@@ -76,16 +76,28 @@ StatusOr<uint64_t> DisguiseLog::Append(std::string spec_name, sql::ParamMap para
   return entries_.back().id;
 }
 
+size_t DisguiseLog::IndexOfLocked(uint64_t id) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
+                             [](const LogEntry& e, uint64_t v) { return e.id < v; });
+  return it != entries_.end() && it->id == id ? static_cast<size_t>(it - entries_.begin())
+                                              : entries_.size();
+}
+
+size_t DisguiseLog::FirstAfterLocked(uint64_t after_id) const {
+  auto it = std::upper_bound(entries_.begin(), entries_.end(), after_id,
+                             [](uint64_t v, const LogEntry& e) { return v < e.id; });
+  return static_cast<size_t>(it - entries_.begin());
+}
+
 StatusOr<LogEntry*> DisguiseLog::FindActiveLocked(uint64_t id) {
-  for (LogEntry& e : entries_) {
-    if (e.id == id) {
-      if (!e.active) {
-        return FailedPrecondition("disguise already revealed");
-      }
-      return &e;
-    }
+  const size_t i = IndexOfLocked(id);
+  if (i == entries_.size()) {
+    return NotFound("no disguise log entry with id " + std::to_string(id));
   }
-  return NotFound("no disguise log entry with id " + std::to_string(id));
+  if (!entries_[i].active) {
+    return FailedPrecondition("disguise already revealed");
+  }
+  return &entries_[i];
 }
 
 Status DisguiseLog::MarkRevealed(uint64_t id) {
@@ -125,13 +137,12 @@ Status DisguiseLog::Unappend(uint64_t id) {
 Status DisguiseLog::DropEntry(uint64_t id) {
   EDNA_FAIL_POINT(failpoints::kLogUnappend);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const LogEntry& e) { return e.id == id; });
-  if (it == entries_.end()) {
+  const size_t i = IndexOfLocked(id);
+  if (i == entries_.size()) {
     return NotFound("no disguise log entry with id " + std::to_string(id));
   }
-  bool was_last = &*it == &entries_.back();
-  entries_.erase(it);
+  bool was_last = i + 1 == entries_.size();
+  entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
   if (was_last) {
     next_id_ = id;  // keep ids dense for the common unwind-the-tail case
   }
@@ -146,12 +157,11 @@ Status DisguiseLog::DropEntry(uint64_t id) {
 
 Status DisguiseLog::MarkIrreversible(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const LogEntry& e) { return e.id == id; });
-  if (it == entries_.end()) {
+  const size_t i = IndexOfLocked(id);
+  if (i == entries_.size()) {
     return NotFound("no disguise log entry with id " + std::to_string(id));
   }
-  it->reversible = false;
+  entries_[i].reversible = false;
   if (db_ == nullptr || !db_->HasTable(kDisguiseLogTableName)) {
     return OkStatus();
   }
@@ -216,30 +226,25 @@ Status DisguiseLog::LoadFromMirror() {
 
 const LogEntry* DisguiseLog::Find(uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogEntry& e : entries_) {
-    if (e.id == id) {
-      return &e;
-    }
-  }
-  return nullptr;
+  const size_t i = IndexOfLocked(id);
+  return i == entries_.size() ? nullptr : &entries_[i];
 }
 
 std::optional<LogEntry> DisguiseLog::FindCopy(uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogEntry& e : entries_) {
-    if (e.id == id) {
-      return e;
-    }
+  const size_t i = IndexOfLocked(id);
+  if (i == entries_.size()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return entries_[i];
 }
 
 std::vector<LogEntry> DisguiseLog::ActiveAfterCopy(uint64_t after_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<LogEntry> out;
-  for (const LogEntry& e : entries_) {
-    if (e.id > after_id && e.active) {
-      out.push_back(e);
+  for (size_t i = FirstAfterLocked(after_id); i < entries_.size(); ++i) {
+    if (entries_[i].active) {
+      out.push_back(entries_[i]);
     }
   }
   return out;
@@ -265,9 +270,9 @@ std::optional<LogEntry> DisguiseLog::LatestActiveFor(const std::string& spec_nam
 std::vector<const LogEntry*> DisguiseLog::ActiveAfter(uint64_t after_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const LogEntry*> out;
-  for (const LogEntry& e : entries_) {
-    if (e.id > after_id && e.active) {
-      out.push_back(&e);
+  for (size_t i = FirstAfterLocked(after_id); i < entries_.size(); ++i) {
+    if (entries_[i].active) {
+      out.push_back(&entries_[i]);
     }
   }
   return out;

@@ -118,8 +118,15 @@ class DisguiseLog {
  private:
   Status MirrorAppend(const LogEntry& e);
   Status MirrorMarkRevealed(uint64_t id);
+  // entries_ is kept in ascending id order (Append assigns increasing ids,
+  // LoadFromMirror sorts), so lookups binary-search it. All require mu_.
+  //
+  // Index of the entry with `id`, or entries_.size() if there is none.
+  size_t IndexOfLocked(uint64_t id) const;
+  // Index of the first entry with id > `after_id`.
+  size_t FirstAfterLocked(uint64_t after_id) const;
   // The entry with `id` if it is active; NotFound / FailedPrecondition
-  // otherwise. Requires mu_.
+  // otherwise.
   StatusOr<LogEntry*> FindActiveLocked(uint64_t id);
 
   db::Database* db_;

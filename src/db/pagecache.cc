@@ -20,21 +20,40 @@ namespace edna::db {
 
 namespace {
 
-// Extent frame header (20 bytes, little-endian; docs/FORMATS.md):
+// Extent frame header (18 bytes, little-endian; docs/FORMATS.md). One frame
+// holds exactly one page, so a fault reads, checks and decodes only that page:
 //   u32 magic "EDNX" | u8 version | u8 flags (bit0 = LZ-compressed) |
-//   u16 page_count | u32 raw_len | u32 stored_len | u32 crc32(stored payload)
+//   u32 raw_len | u32 stored_len | u32 crc32(stored payload)
 constexpr uint32_t kExtentMagic = 0x584E4445;  // "EDNX"
-constexpr uint8_t kExtentVersion = 1;
+constexpr uint8_t kExtentVersion = 2;
 constexpr uint8_t kFlagCompressed = 0x01;
-constexpr size_t kFrameHeaderSize = 20;
-
-uint16_t ReadLe16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
+constexpr size_t kFrameHeaderSize = 18;
 
 uint32_t ReadLe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+}
+
+// Appends one page's frame to `out`: the header, then the page payload
+// (u64 page | u32 nrows | rows), LZ-compressed when `compress` and that
+// shrinks it. Returns the frame's length.
+uint32_t AppendFrame(const std::vector<uint8_t>& raw, bool compress,
+                     std::vector<uint8_t>* out) {
+  std::vector<uint8_t> compressed;
+  if (compress) compressed = LzCompress(raw);
+  const bool packed = !compressed.empty();
+  const std::vector<uint8_t>& stored = packed ? compressed : raw;
+  sql::ByteWriter header;
+  header.U32(kExtentMagic);
+  header.U8(kExtentVersion);
+  header.U8(packed ? kFlagCompressed : 0);
+  header.U32(static_cast<uint32_t>(raw.size()));
+  header.U32(static_cast<uint32_t>(stored.size()));
+  header.U32(Crc32(stored));
+  const std::vector<uint8_t> head = header.Take();
+  out->insert(out->end(), head.begin(), head.end());
+  out->insert(out->end(), stored.begin(), stored.end());
+  return static_cast<uint32_t>(head.size() + stored.size());
 }
 
 Status WriteFullyAt(int fd, const uint8_t* data, size_t len, uint64_t off) {
@@ -245,27 +264,23 @@ Status PageCache::Access(uint32_t table_id, uint64_t page) {
 Status PageCache::Fault(TableState& ts, uint32_t table_id, uint64_t page,
                         PageMeta& meta) {
   EDNA_FAIL_POINT(failpoints::kExtentRead);
-  if (!meta.has_frame) return Internal("spilled page has no extent frame");
-  FramePages frame_pages;
-  RETURN_IF_ERROR(ReadFrame(table_id, meta.frame_off, meta.frame_len, &frame_pages));
-  for (auto& [frame_page, rows] : frame_pages) {
-    // A frame can hold several pages of one eviction round; install only the
-    // requested one — siblings may have been faulted back and re-dirtied.
-    if (frame_page != page) continue;
-    uint64_t bytes = 0;
-    for (const auto& [row_id, row] : rows) bytes += ApproxRowBytes(row);
-    RETURN_IF_ERROR(ts.table->InstallPageRows(page, &rows));
-    meta.resident = true;
-    meta.dirty = false;
-    meta.bytes = bytes;
-    AddResident(static_cast<int64_t>(bytes));
-    return OkStatus();
-  }
-  return Internal("extent frame does not contain page " + std::to_string(page));
+  std::vector<std::pair<RowId, Row>> rows;
+  RETURN_IF_ERROR(ReadFrame(table_id, page, meta, &rows));
+  uint64_t bytes = 0;
+  for (const auto& [row_id, row] : rows) bytes += ApproxRowBytes(row);
+  RETURN_IF_ERROR(ts.table->InstallPageRows(page, &rows));
+  meta.resident = true;
+  meta.dirty = false;
+  meta.bytes = bytes;
+  AddResident(static_cast<int64_t>(bytes));
+  return OkStatus();
 }
 
-Status PageCache::ReadFrame(uint32_t table_id, uint64_t off, uint32_t len,
-                            FramePages* pages) {
+Status PageCache::ReadFrame(uint32_t table_id, uint64_t page, const PageMeta& meta,
+                            std::vector<std::pair<RowId, Row>>* rows) {
+  if (!meta.has_frame) return Internal("spilled page has no extent frame");
+  const uint64_t off = meta.frame_off;
+  const uint32_t len = meta.frame_len;
   const std::string path = ExtentPath(table_id);
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -286,10 +301,9 @@ Status PageCache::ReadFrame(uint32_t table_id, uint64_t off, uint32_t len,
   if (ReadLe32(buf.data()) != kExtentMagic) return Internal("bad extent frame magic");
   if (buf[4] != kExtentVersion) return Internal("unsupported extent frame version");
   const uint8_t flags = buf[5];
-  const uint16_t page_count = ReadLe16(buf.data() + 6);
-  const uint32_t raw_len = ReadLe32(buf.data() + 8);
-  const uint32_t stored_len = ReadLe32(buf.data() + 12);
-  const uint32_t crc = ReadLe32(buf.data() + 16);
+  const uint32_t raw_len = ReadLe32(buf.data() + 6);
+  const uint32_t stored_len = ReadLe32(buf.data() + 10);
+  const uint32_t crc = ReadLe32(buf.data() + 14);
   if (kFrameHeaderSize + stored_len != len) {
     return Internal("extent frame length mismatch");
   }
@@ -306,31 +320,34 @@ Status PageCache::ReadFrame(uint32_t table_id, uint64_t off, uint32_t len,
     raw.assign(buf.begin() + kFrameHeaderSize, buf.end());
   }
   sql::ByteReader reader(raw);
-  for (uint16_t i = 0; i < page_count; ++i) {
-    auto page = reader.U64();
-    if (!page.ok()) return Internal("extent payload corrupt: " + page.status().message());
-    auto nrows = reader.U32();
-    if (!nrows.ok()) return Internal("extent payload corrupt: " + nrows.status().message());
-    std::vector<std::pair<RowId, Row>> rows;
-    rows.reserve(*nrows);
-    for (uint32_t r = 0; r < *nrows; ++r) {
-      auto id = reader.U64();
-      if (!id.ok()) return Internal("extent payload corrupt: " + id.status().message());
-      auto ncols = reader.U32();
-      if (!ncols.ok()) return Internal("extent payload corrupt: " + ncols.status().message());
-      if (*ncols > raw.size()) return Internal("extent payload corrupt: column count");
-      Row row;
-      row.reserve(*ncols);
-      for (uint32_t c = 0; c < *ncols; ++c) {
-        auto value = reader.Value();
-        if (!value.ok()) {
-          return Internal("extent payload corrupt: " + value.status().message());
-        }
-        row.push_back(std::move(*value));
+  auto frame_page = reader.U64();
+  if (!frame_page.ok()) {
+    return Internal("extent payload corrupt: " + frame_page.status().message());
+  }
+  if (*frame_page != page) {
+    return Internal("extent frame holds page " + std::to_string(*frame_page) +
+                    ", expected page " + std::to_string(page));
+  }
+  auto nrows = reader.U32();
+  if (!nrows.ok()) return Internal("extent payload corrupt: " + nrows.status().message());
+  if (*nrows > raw.size()) return Internal("extent payload corrupt: row count");
+  rows->reserve(*nrows);
+  for (uint32_t r = 0; r < *nrows; ++r) {
+    auto id = reader.U64();
+    if (!id.ok()) return Internal("extent payload corrupt: " + id.status().message());
+    auto ncols = reader.U32();
+    if (!ncols.ok()) return Internal("extent payload corrupt: " + ncols.status().message());
+    if (*ncols > raw.size()) return Internal("extent payload corrupt: column count");
+    Row row;
+    row.reserve(*ncols);
+    for (uint32_t c = 0; c < *ncols; ++c) {
+      auto value = reader.Value();
+      if (!value.ok()) {
+        return Internal("extent payload corrupt: " + value.status().message());
       }
-      rows.emplace_back(*id, std::move(row));
+      row.push_back(std::move(*value));
     }
-    pages->emplace_back(*page, std::move(rows));
+    rows->emplace_back(*id, std::move(row));
   }
   if (!reader.AtEnd()) return Internal("extent payload corrupt: trailing bytes");
   return OkStatus();
@@ -491,56 +508,35 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
   };
 
   if (!dirty.empty()) {
-    sql::ByteWriter payload;
-    for (uint64_t page : dirty) {
-      std::vector<std::pair<RowId, const Row*>> rows;
-      ts.table->CollectPageRows(page, &rows);
-      payload.U64(page);
-      payload.U32(static_cast<uint32_t>(rows.size()));
-      for (const auto& [row_id, row] : rows) {
-        payload.U64(row_id);
-        payload.U32(static_cast<uint32_t>(row->size()));
-        for (const sql::Value& v : *row) payload.Value(v);
-      }
-    }
-    const std::vector<uint8_t> raw = payload.Take();
-
     // Inline fail-point evaluation (not the macro): on an injected failure
     // the victims must return to the eviction policy before we bail, or
     // they would stay resident but untracked.
     Status status = FailPoints::Instance().Check(failpoints::kPagecacheWriteback);
-    uint64_t frame_off = 0;
-    uint32_t frame_len = 0;
+    // One frame per dirty page, each with its own CRC and compression; the
+    // round's frames go out in a single pwrite at the end of the file.
+    std::vector<uint8_t> frames;
+    std::vector<uint32_t> frame_lens;
+    frame_lens.reserve(dirty.size());
     if (status.ok()) {
-      uint8_t flags = 0;
-      std::vector<uint8_t> compressed;
-      if (options_.compress) {
-        compressed = LzCompress(raw);
-        if (!compressed.empty()) flags |= kFlagCompressed;
+      for (uint64_t page : dirty) {
+        std::vector<std::pair<RowId, const Row*>> rows;
+        ts.table->CollectPageRows(page, &rows);
+        sql::ByteWriter payload;
+        payload.U64(page);
+        payload.U32(static_cast<uint32_t>(rows.size()));
+        for (const auto& [row_id, row] : rows) {
+          payload.U64(row_id);
+          payload.U32(static_cast<uint32_t>(row->size()));
+          for (const sql::Value& v : *row) payload.Value(v);
+        }
+        frame_lens.push_back(AppendFrame(payload.Take(), options_.compress, &frames));
       }
-      const std::vector<uint8_t>& stored = (flags & kFlagCompressed) ? compressed : raw;
-      std::vector<uint8_t> frame;
-      frame.reserve(kFrameHeaderSize + stored.size());
-      sql::ByteWriter header;
-      header.U32(kExtentMagic);
-      header.U8(kExtentVersion);
-      header.U8(flags);
-      header.U8(static_cast<uint8_t>(dirty.size() & 0xFF));
-      header.U8(static_cast<uint8_t>(dirty.size() >> 8));
-      header.U32(static_cast<uint32_t>(raw.size()));
-      header.U32(static_cast<uint32_t>(stored.size()));
-      header.U32(Crc32(stored));
-      frame = header.Take();
-      frame.insert(frame.end(), stored.begin(), stored.end());
-
-      frame_off = ts.file_size;
-      frame_len = static_cast<uint32_t>(frame.size());
       const std::string path = ExtentPath(table_id);
       const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
       if (fd < 0) {
         status = Internal("cannot open extent file " + path + ": " + std::strerror(errno));
       } else {
-        status = WriteFullyAt(fd, frame.data(), frame.size(), frame_off);
+        status = WriteFullyAt(fd, frames.data(), frames.size(), ts.file_size);
         ::close(fd);
       }
     }
@@ -548,16 +544,16 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
       requeue_victims();
       return status;
     }
-    // Extents are spill, not durability: no fsync. The frame is append-only;
-    // frames superseded by re-dirty + re-evict become dead space reclaimed by
-    // the wipe at next Open.
-    ts.file_size += frame_len;
-    for (uint64_t page : dirty) {
-      PageMeta& meta = ts.pages[page];
+    // Extents are spill, not durability: no fsync. Frames are append-only;
+    // frames superseded by re-dirty + re-evict become dead space reclaimed
+    // by the wipe at next Open.
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      PageMeta& meta = ts.pages[dirty[i]];
       meta.has_frame = true;
       meta.dirty = false;
-      meta.frame_off = frame_off;
-      meta.frame_len = frame_len;
+      meta.frame_off = ts.file_size;
+      meta.frame_len = frame_lens[i];
+      ts.file_size += frame_lens[i];
     }
     stats_->page_writebacks.fetch_add(dirty.size(), std::memory_order_relaxed);
   }
@@ -579,22 +575,15 @@ Status PageCache::SnapshotTableRows(uint32_t table_id, std::map<RowId, Row>* out
   *out = ts.table->RawRows();
   for (auto& [page, meta] : ts.pages) {
     if (meta.resident) continue;
-    if (!meta.has_frame) return Internal("spilled page has no extent frame");
-    FramePages frame_pages;
-    RETURN_IF_ERROR(ReadFrame(table_id, meta.frame_off, meta.frame_len, &frame_pages));
-    bool found = false;
-    for (auto& [frame_page, rows] : frame_pages) {
-      if (frame_page != page) continue;
-      found = true;
-      for (auto& [row_id, row] : rows) {
-        auto it = out->find(row_id);
-        if (it == out->end()) {
-          return Internal("extent frame holds row absent from live table");
-        }
-        it->second = std::move(row);
+    std::vector<std::pair<RowId, Row>> rows;
+    RETURN_IF_ERROR(ReadFrame(table_id, page, meta, &rows));
+    for (auto& [row_id, row] : rows) {
+      auto it = out->find(row_id);
+      if (it == out->end()) {
+        return Internal("extent frame holds row absent from live table");
       }
+      it->second = std::move(row);
     }
-    if (!found) return Internal("extent frame does not contain page");
   }
   return OkStatus();
 }
@@ -623,6 +612,17 @@ bool PageCache::DebugIsRowResident(const std::string& table, RowId id) {
   const TableState& ts = tables_[it->second];
   auto pit = ts.pages.find(PageOf(id));
   return pit == ts.pages.end() || pit->second.resident;
+}
+
+std::optional<PageCache::FrameRef> PageCache::DebugPageFrame(const std::string& table,
+                                                             uint64_t page) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ids_.find(table);
+  if (it == ids_.end()) return std::nullopt;
+  const TableState& ts = tables_[it->second];
+  auto pit = ts.pages.find(page);
+  if (pit == ts.pages.end() || !pit->second.has_frame) return std::nullopt;
+  return FrameRef{ExtentPath(it->second), pit->second.frame_off, pit->second.frame_len};
 }
 
 std::vector<std::string> PageCache::DebugExtentFiles() const {

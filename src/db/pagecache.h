@@ -41,6 +41,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -129,7 +130,8 @@ class PageCache {
   std::vector<EvictGroup> PlanEviction();
 
   // Evicts the given pages of one table: revalidates (resident, unpinned),
-  // writes dirty pages into ONE new extent frame, clears payloads. Returns
+  // appends one extent frame per dirty page (all in one write), clears
+  // payloads. Returns
   // true if at least one page was evicted. Caller holds the table's stripe
   // EXCLUSIVELY. Fail-point: pagecache.writeback (before the frame write).
   StatusOr<bool> EvictPages(uint32_t table_id, const std::vector<uint64_t>& pages);
@@ -155,6 +157,14 @@ class PageCache {
   // Test hooks.
   bool DebugIsRowResident(const std::string& table, RowId id);
   std::vector<std::string> DebugExtentFiles() const;
+  // The page directory's entry for `page`: its extent file and frame
+  // location, or nullopt if no frame holds the page.
+  struct FrameRef {
+    std::string path;
+    uint64_t off = 0;
+    uint32_t len = 0;
+  };
+  std::optional<FrameRef> DebugPageFrame(const std::string& table, uint64_t page);
 
  private:
   struct PageMeta {
@@ -176,17 +186,17 @@ class PageCache {
   struct TableState {
     std::string name;
     Table* table = nullptr;
-    int fd = -1;
     uint64_t file_size = 0;
     std::unordered_map<uint64_t, PageMeta> pages;
   };
 
-  // Decoded extent frame: (page index, rows) per contained page.
-  using FramePages = std::vector<std::pair<uint64_t, std::vector<std::pair<RowId, Row>>>>;
-
   // All private helpers assume mu_ is held.
   Status Fault(TableState& ts, uint32_t table_id, uint64_t page, PageMeta& meta);
-  Status ReadFrame(uint32_t table_id, uint64_t off, uint32_t len, FramePages* pages);
+  // Reads, CRC-checks and decodes `page`'s frame (the directory entry in
+  // `meta`) into `rows`. kNotFound: extent file missing; kInternal: no
+  // frame, or the frame is truncated, corrupt or holds another page.
+  Status ReadFrame(uint32_t table_id, uint64_t page, const PageMeta& meta,
+                   std::vector<std::pair<RowId, Row>>* rows);
   void PolicyInsert(uint32_t table_id, uint64_t page, PageMeta& meta);
   void PolicyTouch(uint32_t table_id, uint64_t page, PageMeta& meta);
   void AddResident(int64_t delta);

@@ -16,6 +16,9 @@ constexpr uint32_t kMagic = 0x45444201;  // "EDB" + 1
 // 3 = u32 CRC32 of the body between version and body (v2 still loads).
 constexpr uint32_t kVersion = 3;
 constexpr uint32_t kLegacyVersion = 2;
+// v3 layout: u32 magic | u32 version | u32 crc32(body) | body.
+constexpr size_t kCrcOffset = 8;
+constexpr size_t kBodyOffset = 12;
 
 }  // namespace
 
@@ -117,28 +120,26 @@ StatusOr<TableSchema> DeserializeTableSchema(sql::ByteReader* r) {
 
 namespace {
 
-// The version-independent image body: table schemas, then per table the
-// auto-increment counter and rows.
-std::vector<uint8_t> SerializeBody(const Database& db) {
-  sql::ByteWriter w;
+// Appends the version-independent image body: table schemas, then per table
+// the auto-increment counter and rows.
+void SerializeBody(const Database& db, sql::ByteWriter* w) {
   const Schema& schema = db.schema();
-  w.U32(static_cast<uint32_t>(schema.num_tables()));
+  w->U32(static_cast<uint32_t>(schema.num_tables()));
   for (const TableSchema& ts : schema.tables()) {
-    SerializeTableSchema(&w, ts);
+    SerializeTableSchema(w, ts);
   }
   for (const TableSchema& ts : schema.tables()) {
     const Table* t = db.FindTable(ts.name());
-    w.U64(static_cast<uint64_t>(t->PeekAutoIncrement() - 1));
-    w.U64(t->num_rows());
-    t->Scan([&w](RowId id, const Row& row) {
-      w.U64(id);
-      w.U32(static_cast<uint32_t>(row.size()));
+    w->U64(static_cast<uint64_t>(t->PeekAutoIncrement() - 1));
+    w->U64(t->num_rows());
+    t->Scan([w](RowId id, const Row& row) {
+      w->U64(id);
+      w->U32(static_cast<uint32_t>(row.size()));
       for (const sql::Value& v : row) {
-        w.Value(v);
+        w->Value(v);
       }
     });
   }
-  return w.Take();
 }
 
 StatusOr<std::unique_ptr<Database>> DeserializeBody(sql::ByteReader* r) {
@@ -181,13 +182,19 @@ StatusOr<std::unique_ptr<Database>> DeserializeBody(sql::ByteReader* r) {
 }  // namespace
 
 std::vector<uint8_t> SerializeDatabase(const Database& db) {
-  std::vector<uint8_t> body = SerializeBody(db);
+  // One buffer: header with a CRC placeholder, then the body, then the CRC
+  // patched in place, so a checkpoint never holds two copies of the image.
   sql::ByteWriter w;
   w.U32(kMagic);
   w.U32(kVersion);
-  w.U32(Crc32(body));
-  w.Bytes(body.data(), body.size());
-  return w.Take();
+  w.U32(0);
+  SerializeBody(db, &w);
+  std::vector<uint8_t> image = w.Take();
+  const uint32_t crc = Crc32(image.data() + kBodyOffset, image.size() - kBodyOffset);
+  for (size_t i = 0; i < 4; ++i) {
+    image[kCrcOffset + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return image;
 }
 
 StatusOr<std::unique_ptr<Database>> DeserializeDatabase(const std::vector<uint8_t>& wire) {
@@ -201,7 +208,6 @@ StatusOr<std::unique_ptr<Database>> DeserializeDatabase(const std::vector<uint8_
     ASSIGN_OR_RETURN(uint32_t expected_crc, r.U32());
     // Everything after the CRC field is the body; checksum before parsing so
     // corruption fails fast with a precise diagnosis.
-    constexpr size_t kBodyOffset = 12;  // magic + version + crc
     uint32_t actual_crc = Crc32(wire.data() + kBodyOffset, wire.size() - kBodyOffset);
     if (actual_crc != expected_crc) {
       return InvalidArgument(

@@ -3,6 +3,11 @@
 // disguise's Remove / Modify / Decorrelate, plus the disguise log itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/apps/hotcrp/disguises.h"
 #include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
@@ -68,6 +73,88 @@ TEST(DisguiseLogTest, UnappendOnlyRemovesLast) {
   auto id3 = log.Append("C", {}, Value::Null(), 3, true);
   ASSERT_TRUE(id3.ok());
   EXPECT_EQ(*id3, *id2);
+}
+
+// Checks every id lookup of `log` against a linear scan of its entries.
+void ExpectLookupsMatchLinearScan(const DisguiseLog& log) {
+  const std::vector<LogEntry>& all = log.entries();
+  const uint64_t max_id = all.empty() ? 0 : all.back().id;
+  for (uint64_t id = 0; id <= max_id + 2; ++id) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    const LogEntry* want = nullptr;
+    std::vector<uint64_t> want_after;
+    for (const LogEntry& e : all) {
+      if (e.id == id) {
+        want = &e;
+      }
+      if (e.id > id && e.active) {
+        want_after.push_back(e.id);
+      }
+    }
+    EXPECT_EQ(log.Find(id), want);
+    std::optional<LogEntry> copy = log.FindCopy(id);
+    ASSERT_EQ(copy.has_value(), want != nullptr);
+    if (copy.has_value()) {
+      EXPECT_EQ(copy->id, id);
+      EXPECT_EQ(copy->spec_name, want->spec_name);
+      EXPECT_EQ(copy->active, want->active);
+    }
+    std::vector<uint64_t> after;
+    for (const LogEntry* e : log.ActiveAfter(id)) {
+      after.push_back(e->id);
+    }
+    EXPECT_EQ(after, want_after);
+    std::vector<uint64_t> after_copy;
+    for (const LogEntry& e : log.ActiveAfterCopy(id)) {
+      after_copy.push_back(e.id);
+    }
+    EXPECT_EQ(after_copy, want_after);
+  }
+  EXPECT_TRUE(log.ActiveAfter(UINT64_MAX).empty());
+}
+
+TEST(DisguiseLogTest, LookupsMatchALinearScanThroughHistoryEdits) {
+  db::Database db;
+  DisguiseLog log(&db);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(log.Append("S" + std::to_string(i % 4), {}, Value::Int(i), i, true).ok());
+  }
+  ExpectLookupsMatchLinearScan(log);
+
+  // Revealed history, including a double reveal and an unknown id.
+  for (uint64_t id = 1; id <= 30; id += 3) {
+    ASSERT_TRUE(log.MarkRevealed(id).ok()) << id;
+  }
+  EXPECT_EQ(log.MarkRevealed(4).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log.MarkRevealed(31).code(), StatusCode::kNotFound);
+  ExpectLookupsMatchLinearScan(log);
+
+  // A hole in the middle of the id sequence, then more appends after it.
+  ASSERT_TRUE(log.DropEntry(12).ok());
+  EXPECT_EQ(log.DropEntry(12).code(), StatusCode::kNotFound);
+  EXPECT_EQ(log.MarkRevealed(12).code(), StatusCode::kNotFound);
+  EXPECT_EQ(log.Find(12), nullptr);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(log.Append("T", {}, Value::Null(), 100 + i, false).ok());
+  }
+  ASSERT_TRUE(log.MarkRevealed(33).ok());
+  ExpectLookupsMatchLinearScan(log);
+
+  // A log rebuilt from the mirror answers the same way.
+  DisguiseLog loaded(&db);
+  ASSERT_TRUE(loaded.LoadFromMirror().ok());
+  ASSERT_EQ(loaded.size(), log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(loaded.entries()[i].id, log.entries()[i].id);
+    EXPECT_EQ(loaded.entries()[i].active, log.entries()[i].active);
+  }
+  ExpectLookupsMatchLinearScan(loaded);
+
+  // Unwinding the tail moves every bound with it.
+  ASSERT_TRUE(loaded.Unappend(35).ok());
+  ASSERT_TRUE(loaded.Unappend(34).ok());
+  EXPECT_EQ(loaded.Find(35), nullptr);
+  ExpectLookupsMatchLinearScan(loaded);
 }
 
 // --- Reveal filtering: restored ROWS through later disguises ----------------------

@@ -21,15 +21,20 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/apps/hotcrp/generator.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/db/database.h"
 #include "src/db/durable.h"
+#include "src/sql/codec.h"
 #include "src/sql/parser.h"
 #include "tests/reference_match.h"
 
@@ -431,6 +436,243 @@ TEST(PageCachePropertyTest, ExtentCorruptionFailsLoudlyNeverSilently) {
   // directory wipes them and replays snapshot + WAL to the exact truth.
   victim->reset();
   EXPECT_EQ(ReopenAndDump(dir, /*budget=*/1), truth);
+}
+
+// One decoded extent frame, parsed straight from the documented version-2
+// layout (docs/FORMATS.md) rather than through PageCache.
+struct ParsedFrame {
+  uint64_t off = 0;
+  uint32_t len = 0;
+  uint64_t page = 0;
+  size_t rows = 0;
+};
+
+uint32_t Le32(const std::vector<uint8_t>& b, size_t at) {
+  return static_cast<uint32_t>(b[at]) | (static_cast<uint32_t>(b[at + 1]) << 8) |
+         (static_cast<uint32_t>(b[at + 2]) << 16) | (static_cast<uint32_t>(b[at + 3]) << 24);
+}
+
+// Walks every frame of one extent file; each must check out and decode to
+// exactly one page whose payload ends where the frame ends.
+std::vector<ParsedFrame> ParseExtentFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  constexpr size_t kHeader = 18;
+  std::vector<ParsedFrame> frames;
+  size_t off = 0;
+  while (off < file.size()) {
+    SCOPED_TRACE(path + " @" + std::to_string(off));
+    EXPECT_GE(file.size() - off, kHeader);
+    if (file.size() - off < kHeader) break;
+    EXPECT_EQ(Le32(file, off), 0x584E4445u);
+    EXPECT_EQ(file[off + 4], 2);
+    const bool packed = (file[off + 5] & 0x01) != 0;
+    const uint32_t raw_len = Le32(file, off + 6);
+    const uint32_t stored_len = Le32(file, off + 10);
+    const uint32_t crc = Le32(file, off + 14);
+    EXPECT_LE(kHeader + stored_len, file.size() - off);
+    if (kHeader + stored_len > file.size() - off) break;
+    const uint8_t* stored = file.data() + off + kHeader;
+    EXPECT_EQ(Crc32(stored, stored_len), crc);
+    std::vector<uint8_t> raw;
+    if (packed) {
+      EXPECT_TRUE(LzDecompress(stored, stored_len, raw_len, &raw).ok());
+    } else {
+      raw.assign(stored, stored + stored_len);
+    }
+    sql::ByteReader reader(raw);
+    ParsedFrame f;
+    f.off = off;
+    f.len = static_cast<uint32_t>(kHeader + stored_len);
+    StatusOr<uint64_t> page = reader.U64();
+    StatusOr<uint32_t> nrows = reader.U32();
+    EXPECT_TRUE(page.ok() && nrows.ok());
+    if (!page.ok() || !nrows.ok()) break;
+    f.page = *page;
+    f.rows = *nrows;
+    for (uint32_t r = 0; r < *nrows; ++r) {
+      EXPECT_TRUE(reader.U64().ok());
+      StatusOr<uint32_t> ncols = reader.U32();
+      EXPECT_TRUE(ncols.ok()) << ncols.status();
+      for (uint32_t c = 0; ncols.ok() && c < *ncols; ++c) {
+        EXPECT_TRUE(reader.Value().ok());
+      }
+    }
+    EXPECT_TRUE(reader.AtEnd()) << "a frame holds more than one page";
+    frames.push_back(f);
+    off += f.len;
+  }
+  return frames;
+}
+
+TEST(PageCacheFrameTest, EveryWritebackIsOneFrameOfOnePageTheDirectoryNames) {
+  TempDir tmp;
+  DurableOptions opts;
+  opts.cache.max_resident_bytes = 8192;  // a few pages: multi-page rounds
+  DurableOpenReport report;
+  auto opened = DurableDatabase::Open(tmp.Sub("frames"), opts, &report);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Database* db = (*opened)->db();
+  PageCache* cache = db->page_cache();
+  ASSERT_NE(cache, nullptr);
+  const uint64_t writebacks_before = db->stats().page_writebacks.load();
+  size_t frames_before = 0;
+  for (const std::string& path : cache->DebugExtentFiles()) {
+    frames_before += ParseExtentFile(path).size();
+  }
+  RunWorkload(db, /*seed=*/42);
+  Settle(db);
+  const uint64_t writebacks = db->stats().page_writebacks.load() - writebacks_before;
+  ASSERT_GT(writebacks, 0u);
+
+  std::map<uint64_t, ParsedFrame> by_off;
+  size_t frames = 0;
+  const std::vector<std::string> files = cache->DebugExtentFiles();
+  ASSERT_EQ(files.size(), 1u) << "only the items table should spill";
+  for (const ParsedFrame& f : ParseExtentFile(files[0])) {
+    by_off[f.off] = f;
+    ++frames;
+  }
+  EXPECT_EQ(frames - frames_before, writebacks) << "one frame per page written back";
+
+  // The directory points each framed page at a frame of that very page, and
+  // every spilled page has one.
+  const uint64_t last_page = cache->PageOf(kWorkloadRows);
+  size_t spilled = 0;
+  for (uint64_t page = 0; page <= last_page; ++page) {
+    SCOPED_TRACE("page " + std::to_string(page));
+    std::optional<PageCache::FrameRef> ref = cache->DebugPageFrame("items", page);
+    const RowId first_row = page * cache->rows_per_page() + 1;
+    if (!cache->DebugIsRowResident("items", first_row)) {
+      ++spilled;
+      ASSERT_TRUE(ref.has_value()) << "a spilled page has no frame";
+    }
+    if (!ref.has_value()) continue;
+    EXPECT_EQ(ref->path, files[0]);
+    auto it = by_off.find(ref->off);
+    ASSERT_NE(it, by_off.end()) << "directory offset is not a frame boundary";
+    EXPECT_EQ(it->second.len, ref->len);
+    EXPECT_EQ(it->second.page, page);
+  }
+  EXPECT_GT(spilled, 0u);
+}
+
+// Two full pages of one table, spilled by a single eviction round: one
+// statement dirties both, so its boundary writes them together.
+class TwoPageRoundTest : public ::testing::Test {
+ protected:
+  void Spill(bool compress) {
+    DurableOptions opts;
+    opts.cache.max_resident_bytes = 1;  // always over budget: everything spills
+    opts.cache.compress = compress;
+    DurableOpenReport report;
+    auto opened = DurableDatabase::Open(tmp_.Sub("two"), opts, &report);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    durable_ = std::move(*opened);
+    db_ = durable_->db();
+    cache_ = db_->page_cache();
+    ASSERT_NE(cache_, nullptr);
+    TableSchema items("items");
+    items
+        .AddColumn({.name = "id", .type = ColumnType::kInt, .nullable = false,
+                    .auto_increment = true})
+        .AddColumn({.name = "num", .type = ColumnType::kInt, .nullable = false})
+        .AddColumn({.name = "payload", .type = ColumnType::kString})
+        .SetPrimaryKey({"id"});
+    ASSERT_TRUE(db_->CreateTable(std::move(items)).ok());
+    per_page_ = cache_->rows_per_page();
+    Rng rng(5);
+    for (RowId id = 1; id <= 2 * per_page_; ++id) {
+      payloads_[id] = PayloadFor(rng, static_cast<int>(id));
+      ASSERT_TRUE(db_->InsertValues("items", {{"num", Value::Int(static_cast<int64_t>(id))},
+                                              {"payload", Value::String(payloads_[id])}})
+                      .ok());
+    }
+
+    const uint64_t before = db_->stats().page_writebacks.load();
+    auto incr = sql::ParseExpression("\"num\" + 1000");
+    ASSERT_TRUE(incr.ok()) << incr.status();
+    std::vector<Assignment> assigns;
+    assigns.push_back({.column = "num", .expr = std::move(*incr)});
+    auto updated = db_->Update("items", nullptr, {}, assigns);
+    ASSERT_TRUE(updated.ok()) << updated.status();
+    ASSERT_EQ(*updated, 2 * per_page_);
+    ASSERT_EQ(db_->stats().page_writebacks.load() - before, 2u);
+    ASSERT_FALSE(cache_->DebugIsRowResident("items", 1));
+    ASSERT_FALSE(cache_->DebugIsRowResident("items", per_page_ + 1));
+    std::optional<PageCache::FrameRef> a = cache_->DebugPageFrame("items", 0);
+    std::optional<PageCache::FrameRef> b = cache_->DebugPageFrame("items", 1);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    ASSERT_EQ(a->path, b->path);
+    ASSERT_NE(a->off, b->off) << "the two pages share a frame";
+    frame_a_ = *a;
+  }
+
+  // Page 1 must still read back exactly; page 0 must fail kInternal.
+  void ExpectOnlyPageZeroFails() {
+    for (RowId id = per_page_ + 1; id <= 2 * per_page_; ++id) {
+      StatusOr<Row> row = db_->GetRow("items", id);
+      ASSERT_TRUE(row.ok()) << "page 1 row " << id << ": " << row.status();
+      ASSERT_EQ(row->size(), 3u);
+      EXPECT_EQ((*row)[1].AsInt(), static_cast<int64_t>(id) + 1000);
+      EXPECT_EQ((*row)[2].AsString(), payloads_[id]);
+    }
+    for (RowId id : {RowId{1}, per_page_}) {
+      StatusOr<Row> row = db_->GetRow("items", id);
+      ASSERT_FALSE(row.ok()) << "row " << id << " read through a bad frame";
+      EXPECT_EQ(row.status().code(), StatusCode::kInternal) << row.status();
+    }
+  }
+
+  TempDir tmp_;
+  std::unique_ptr<DurableDatabase> durable_;
+  Database* db_ = nullptr;
+  PageCache* cache_ = nullptr;
+  RowId per_page_ = 0;
+  std::map<RowId, std::string> payloads_;
+  PageCache::FrameRef frame_a_;
+};
+
+// Each page has its own CRC: corrupting one page's frame costs that page
+// only, never a sibling spilled in the same round.
+TEST_F(TwoPageRoundTest, CorruptFrameFailsOnlyItsOwnPage) {
+  ASSERT_NO_FATAL_FAILURE(Spill(/*compress=*/true));
+  std::fstream f(frame_a_.path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  // The frame's last byte lies inside its CRC-covered payload.
+  const auto at = static_cast<std::streamoff>(frame_a_.off + frame_a_.len - 1);
+  f.seekg(at);
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.seekp(at);
+  f.write(&byte, 1);
+  f.close();
+  ExpectOnlyPageZeroFails();
+}
+
+// A well-formed frame that holds another page (valid CRC, wrong page index)
+// is rejected rather than installed under the page that asked for it.
+TEST_F(TwoPageRoundTest, FrameOfAnotherPageIsRejected) {
+  ASSERT_NO_FATAL_FAILURE(Spill(/*compress=*/false));
+  std::fstream f(frame_a_.path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  std::vector<uint8_t> frame(frame_a_.len);
+  f.seekg(static_cast<std::streamoff>(frame_a_.off));
+  f.read(reinterpret_cast<char*>(frame.data()), static_cast<std::streamsize>(frame.size()));
+  constexpr size_t kHeader = 18;
+  ASSERT_EQ(frame[5] & 0x01, 0) << "frame stored compressed despite compress=false";
+  ASSERT_EQ(Le32(frame, kHeader), 0u) << "page 0's payload must start with its index";
+  frame[kHeader] = 1;  // u64 page index 0 -> 1
+  const uint32_t crc = Crc32(frame.data() + kHeader, frame.size() - kHeader);
+  for (size_t i = 0; i < 4; ++i) {
+    frame[14 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  f.seekp(static_cast<std::streamoff>(frame_a_.off));
+  f.write(reinterpret_cast<const char*>(frame.data()), static_cast<std::streamsize>(frame.size()));
+  f.close();
+  ExpectOnlyPageZeroFails();
 }
 
 TEST(PageCachePropertyTest, HotcrpQuarterFootprintBudgetMatchesUnbounded) {

@@ -209,6 +209,40 @@ TEST(StorageTest, FullLobstersDatabaseRoundTrips) {
   EXPECT_TRUE((*loaded)->CheckIntegrity().ok());
 }
 
+// FNV-1a 64 over a serialized image, as 16 hex digits.
+std::string ImageDigest(const std::vector<uint8_t>& image) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : image) {
+    h = (h ^ b) * 0x100000001b3ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// The image format is a contract with every saved .edb and checkpoint: a
+// fixed database must serialize to the same bytes across changes to how the
+// image is built. The digest was measured before the body and header were
+// written into one buffer.
+TEST(StorageTest, ImageBytesArePinned) {
+  // Every value type, a default and a self-referencing FK...
+  Database small;
+  FillSmallDb(&small);
+  const std::vector<uint8_t> small_image = SerializeDatabase(small);
+  EXPECT_EQ(ImageDigest(small_image), "0639836e2fe0a815") << "size " << small_image.size();
+
+  // ...and a multi-table application database.
+  Database app;
+  lobsters::Config config;
+  config.num_users = 40;
+  config.num_stories = 60;
+  config.num_comments = 150;
+  config.num_votes = 200;
+  ASSERT_TRUE(lobsters::Populate(&app, config).ok());
+  const std::vector<uint8_t> app_image = SerializeDatabase(app);
+  EXPECT_EQ(ImageDigest(app_image), "605f7ccaf3488230") << "size " << app_image.size();
+}
+
 std::vector<char> FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::vector<char>(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
